@@ -1,11 +1,10 @@
-//! Benchmark regression gate: measure the standard point set, emit
-//! `BENCH_7.json`, compare against the committed baseline, exit nonzero on
-//! regression.
+//! Benchmark regression gate: measure, emit one report (`BENCH.json`),
+//! compare against the committed baseline, exit nonzero on regression.
 //!
 //! Usage:
 //!   `bench_gate [--out PATH] [--baseline PATH] [--seed N]`
-//!       measure, write `--out` (default `BENCH_7.json`), compare against
-//!       `--baseline` (default `BENCH_7_baseline.json`); exit 1 on any
+//!       measure, write `--out` (default `BENCH.json`), compare against
+//!       `--baseline` (default `BENCH_baseline.json`); exit 1 on any
 //!       metric outside tolerance, 2 on IO/usage errors.
 //!   `bench_gate --write-baseline [--baseline PATH] [--seed N]`
 //!       measure and (re)write the baseline instead of comparing — run this
@@ -14,23 +13,18 @@
 //!       skip measurement; compare an existing report file (used by tests
 //!       and for post-hoc analysis of CI artifacts).
 //!
-//! `bench_gate --bench8 [same flags]` runs the sharded-engine speedup gate
-//! instead: measure the 1024-host fat-tree point at 1 vs 4 shards, emit
-//! `BENCH_8.json` (default `--out`), compare against `BENCH_8_baseline.json`
-//! (default `--baseline`) — gating the multi-worker speedup (absolute 2x
-//! floor on machines with ≥4 cores) and shard-count output identity.
-//!
-//! Tolerances: wall-clock and per-packet metrics may regress ≤25%,
-//! ratio metrics (kernel speedups, end-to-end engine speedup) ≤10%;
-//! output divergence (serial vs parallel, fast vs reference, sharded vs
-//! serial) fails outright. See `experiments::gate`.
+//! Tolerances: the two kernel speedups may fall ≤10% (their arms are
+//! sampled interleaved); every other toleranced metric — wall-clock
+//! seconds, per-packet costs, the cc vs-Reno ratios, and the end-to-end
+//! engine and shard speedups — may regress ≤25%. The shard speedup must
+//! also reach 2x on machines with ≥4 cores, and output divergence (serial
+//! vs parallel, fast vs reference, sharded vs serial) fails outright. See
+//! `experiments::gate`.
 
 use experiments::gate::{
-    compare, compare_bench8, measure, measure_bench8, Bench8Report, BenchReport, Tolerance,
-    BENCH8_MIN_SPEEDUP, BENCH8_SHARDS,
+    compare, measure, BenchReport, Tolerance, BENCH8_MIN_SPEEDUP, BENCH8_SHARDS,
 };
 use experiments::report::write_json;
-use serde::Deserialize;
 use std::path::{Path, PathBuf};
 
 fn die(msg: &str) -> ! {
@@ -38,7 +32,7 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn load_report<R: Deserialize>(path: &Path) -> R {
+fn load_report(path: &Path) -> BenchReport {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
     serde_json::from_str(&text)
@@ -51,32 +45,19 @@ struct Args {
     compare_only: Option<PathBuf>,
     write_baseline: bool,
     seed: u64,
-    bench8: bool,
 }
 
 fn parse_args() -> Args {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let bench8 = raw.iter().any(|a| a == "--bench8");
     let mut args = Args {
-        out: PathBuf::from(if bench8 {
-            "BENCH_8.json"
-        } else {
-            "BENCH_7.json"
-        }),
-        baseline_path: PathBuf::from(if bench8 {
-            "BENCH_8_baseline.json"
-        } else {
-            "BENCH_7_baseline.json"
-        }),
+        out: PathBuf::from("BENCH.json"),
+        baseline_path: PathBuf::from("BENCH_baseline.json"),
         compare_only: None,
         write_baseline: false,
         seed: 20170905u64,
-        bench8,
     };
-    let mut it = raw.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--bench8" => {}
             "--out" => match it.next() {
                 Some(p) => args.out = PathBuf::from(p),
                 None => die("--out needs a path"),
@@ -95,7 +76,7 @@ fn parse_args() -> Args {
                 _ => die("--seed needs an unsigned integer value"),
             },
             other => die(&format!(
-                "unknown argument {other}; supported: --bench8 --out PATH --baseline PATH \
+                "unknown argument {other}; supported: --out PATH --baseline PATH \
                  --compare-only PATH --write-baseline --seed N"
             )),
         }
@@ -103,71 +84,14 @@ fn parse_args() -> Args {
     args
 }
 
-fn bench8_main(args: Args) {
-    let current: Bench8Report = match &args.compare_only {
-        Some(path) => load_report(path),
-        None => {
-            let report = measure_bench8(args.seed);
-            let target = if args.write_baseline {
-                &args.baseline_path
-            } else {
-                &args.out
-            };
-            if let Err(e) = write_json(&report, target) {
-                die(&format!("cannot write {}: {e}", target.display()));
-            }
-            eprintln!("[bench_gate] wrote {}", target.display());
-            if args.write_baseline {
-                eprintln!("[bench_gate] baseline refreshed; not comparing");
-                return;
-            }
-            report
-        }
-    };
-
-    let baseline: Bench8Report = load_report(&args.baseline_path);
-    let violations = compare_bench8(&current, &baseline, &Tolerance::default());
-    println!("== bench8 gate vs {} ==", args.baseline_path.display());
-    println!(
-        "fabric: {} hosts, {} flows, {} events",
-        current.shard.hosts, current.shard.flows, current.shard.events,
-    );
-    println!(
-        "shards: serial {:.2}s, {} shards {:.2}s — speedup {:.2}x \
-         (floor {BENCH8_MIN_SPEEDUP}x on >= {BENCH8_SHARDS} cores; this report: {} cores), \
-         outputs identical: {}",
-        current.shard.serial_seconds,
-        current.shard.shards,
-        current.shard.sharded_seconds,
-        current.shard.speedup,
-        current.cores,
-        current.shard.outputs_identical,
-    );
-    if violations.is_empty() {
-        println!("PASS: all gated metrics within tolerance");
-        return;
-    }
-    println!("FAIL: {} metric(s) regressed:", violations.len());
-    for v in &violations {
-        println!("  {v}");
-    }
-    std::process::exit(1);
-}
-
 fn main() {
-    let args = parse_args();
-    if args.bench8 {
-        bench8_main(args);
-        return;
-    }
     let Args {
         out,
         baseline_path,
         compare_only,
         write_baseline,
         seed,
-        ..
-    } = args;
+    } = parse_args();
 
     let current: BenchReport = match &compare_only {
         Some(path) => load_report(path),
@@ -186,7 +110,7 @@ fn main() {
         }
     };
 
-    let baseline: BenchReport = load_report(&baseline_path);
+    let baseline = load_report(&baseline_path);
     let violations = compare(&current, &baseline, &Tolerance::default());
     println!("== bench gate vs {} ==", baseline_path.display());
     println!(
@@ -239,6 +163,20 @@ fn main() {
     println!(
         "link: {:.2} events/packet fast vs {:.2} reference",
         current.link.fast_events_per_packet, current.link.reference_events_per_packet,
+    );
+    println!(
+        "shard ({} hosts, {} flows, {} events): serial {:.2}s, {} shards {:.2}s — speedup \
+         {:.2}x (floor {BENCH8_MIN_SPEEDUP}x on >= {BENCH8_SHARDS} cores; this report: {} \
+         cores), outputs identical: {}",
+        current.shard.hosts,
+        current.shard.flows,
+        current.shard.events,
+        current.shard.serial_seconds,
+        current.shard.shards,
+        current.shard.sharded_seconds,
+        current.shard.speedup,
+        current.cores,
+        current.shard.outputs_identical,
     );
     if violations.is_empty() {
         println!("PASS: all gated metrics within tolerance");

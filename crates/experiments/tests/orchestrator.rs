@@ -5,7 +5,7 @@
 use ecn_core::ProtectionMode;
 use experiments::gate::{
     BenchReport, CcSection, CcWorkload, EndToEndSection, KernelSection, KernelWorkload,
-    LinkSection, PoolSection, SweepSection,
+    LinkSection, PoolSection, ShardSection, SweepSection,
 };
 use experiments::scenario::{QueueKind, Transport};
 use experiments::{sweep_with, CacheMode, SweepGrid, SweepOptions};
@@ -251,6 +251,18 @@ fn canned_report() -> BenchReport {
             reference_peak_pending: 500,
             fast_peak_pending: 500,
         },
+        cores: 1,
+        shard: ShardSection {
+            hosts: 1024,
+            flows: 1152,
+            shards: 4,
+            serial_seconds: 2.3,
+            sharded_seconds: 2.0,
+            speedup: 1.15,
+            events: 3_300_000,
+            serial_events_per_sec: 1.4e6,
+            outputs_identical: true,
+        },
     }
 }
 
@@ -287,8 +299,8 @@ fn bench_gate_passes_against_equal_baseline() {
 
 #[test]
 fn bench_gate_fails_against_inflated_baseline() {
-    // The acceptance scenario: a baseline whose metrics are 20% better than
-    // the current run must trip the 10% tolerances and exit nonzero.
+    // The acceptance scenario: a baseline whose metrics are 20-50% better
+    // than the current run must trip the tolerances and exit nonzero.
     let scratch = Scratch::new("gate-fail");
     let dir = scratch.path();
     let current = dir.join("current.json");
@@ -300,6 +312,7 @@ fn bench_gate_fails_against_inflated_baseline() {
     inflated.kernel.cancel_heavy.speedup *= 1.2;
     inflated.sweep_fig2_shallow.fast_seconds /= 1.4;
     inflated.end_to_end.engine_speedup *= 1.5;
+    inflated.shard.speedup *= 1.5;
     write_report(&baseline_path, &inflated);
 
     let out = bench_gate(dir, &current, &baseline_path);
@@ -311,4 +324,17 @@ fn bench_gate_fails_against_inflated_baseline() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("FAIL"), "{stdout}");
+    assert!(stdout.contains("shard.speedup"), "{stdout}");
+}
+
+#[test]
+fn bench_gate_rejects_unknown_arguments() {
+    // One report, one baseline: there is no mode switch, so `--bench8` is
+    // an unknown argument (exit 2) like any other.
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_gate"))
+        .arg("--bench8")
+        .output()
+        .expect("bench_gate runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
 }

@@ -1,6 +1,6 @@
 //! Ablations of the design choices DESIGN.md calls out, each a nano-scale
-//! Terasort run. The printed metrics are the ablation's result; Criterion
-//! times the simulations.
+//! Terasort run (4 hosts, 1 MB input per node) over RED at a 200 µs target.
+//! Every case prints its job runtime and the ACK early-drops it caused.
 //!
 //! 1. **Per-packet vs per-byte RED thresholds** — the paper stresses switches
 //!    count packets, which is what makes 150 B ACKs as costly as 1.5 kB data.
@@ -10,21 +10,17 @@
 //! 5. **SACK on/off** — the paper's NS-2 FullTcp substrate predates SACK;
 //!    modern stacks have it. It changes loss-recovery dynamics and therefore
 //!    where overflow losses land.
+//!
+//! Run with: `cargo run --release --example ablations`
 
-use bench::nano_config;
-use criterion::{criterion_group, criterion_main, Criterion};
-use ecn_core::{ProtectionMode, QdiscSpec, RedConfig};
-use experiments::scenario::{BufferDepth, QueueKind, Transport};
-use mrsim::{JobSpec, TerasortJob};
-use netpacket::PacketKind;
-use netsim::{ClusterSpec, Network, Simulation};
-use simevent::SimDuration;
-use tcpstack::TcpConfig;
+use hadoop_ecn::experiments::scenario::ScenarioConfig;
+use hadoop_ecn::prelude::*;
 
 /// Run a nano Terasort over an explicit qdisc spec and TCP config; return
 /// (runtime_s, ack_early_drops).
 fn run_custom(qdisc: QdiscSpec, tcp: TcpConfig) -> (f64, u64) {
-    let cfg = nano_config();
+    let mut cfg = ScenarioConfig::tiny();
+    cfg.input_bytes_per_node = 1_000_000;
     let spec = ClusterSpec {
         racks: cfg.racks,
         hosts_per_rack: cfg.hosts_per_rack,
@@ -77,23 +73,22 @@ fn ecn_tcp() -> TcpConfig {
     TcpConfig {
         recv_wnd: 128 << 10,
         sack: false,
-        ..TcpConfig::with_ecn(tcpstack::EcnMode::Ecn)
+        ..TcpConfig::with_ecn(EcnMode::Ecn)
     }
 }
 
-fn bench_ablations(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablations");
-    g.sample_size(10);
+fn report(name: &str, qdisc: QdiscSpec, tcp: TcpConfig) {
+    let (rt, acks) = run_custom(qdisc, tcp);
+    println!("[ablation] {name}: runtime {rt:.4}s, ACK early-drops {acks}");
+}
 
+fn main() {
     // 1. Per-packet vs per-byte thresholds.
     for (name, byte_mode) in [
         ("thresholds_per_packet", false),
         ("thresholds_per_byte", true),
     ] {
-        let spec = red_spec(|rc| rc.byte_mode = byte_mode);
-        let (rt, acks) = run_custom(spec.clone(), ecn_tcp());
-        println!("[ablation] {name}: runtime {rt:.4}s, ACK early-drops {acks}");
-        g.bench_function(name, |b| b.iter(|| run_custom(spec.clone(), ecn_tcp())));
+        report(name, red_spec(|rc| rc.byte_mode = byte_mode), ecn_tcp());
     }
 
     // 2. Instantaneous vs EWMA queue estimate.
@@ -101,48 +96,26 @@ fn bench_ablations(c: &mut Criterion) {
         ("queue_estimate_ewma", 0.25),
         ("queue_estimate_instantaneous", 1.0),
     ] {
-        let spec = red_spec(|rc| rc.ewma_weight = w);
-        let (rt, acks) = run_custom(spec.clone(), ecn_tcp());
-        println!("[ablation] {name}: runtime {rt:.4}s, ACK early-drops {acks}");
-        g.bench_function(name, |b| b.iter(|| run_custom(spec.clone(), ecn_tcp())));
+        report(name, red_spec(|rc| rc.ewma_weight = w), ecn_tcp());
     }
 
     // 3. Delayed-ACK factor.
     for (name, m) in [("delack_every_segment", 1u32), ("delack_every_2nd", 2u32)] {
-        let spec = red_spec(|_| {});
         let tcp = TcpConfig {
             delayed_ack: m,
             ..ecn_tcp()
         };
-        let (rt, acks) = run_custom(spec.clone(), tcp.clone());
-        println!("[ablation] {name}: runtime {rt:.4}s, ACK early-drops {acks}");
-        g.bench_function(name, |b| b.iter(|| run_custom(spec.clone(), tcp.clone())));
+        report(name, red_spec(|_| {}), tcp);
     }
 
     // 5. SACK vs NewReno-only recovery (stock Default-mode RED).
     for (name, sack) in [("recovery_newreno_no_sack", false), ("recovery_sack", true)] {
-        let spec = red_spec(|_| {});
-        let tcp = TcpConfig { sack, ..ecn_tcp() };
-        let (rt, acks) = run_custom(spec.clone(), tcp.clone());
-        println!("[ablation] {name}: runtime {rt:.4}s, ACK early-drops {acks}");
-        g.bench_function(name, |b| b.iter(|| run_custom(spec.clone(), tcp.clone())));
+        report(name, red_spec(|_| {}), TcpConfig { sack, ..ecn_tcp() });
     }
 
     // 4. Protection scope.
     for mode in ProtectionMode::ALL {
         let name = format!("protection_{}", mode.label());
-        let spec = red_spec(|rc| rc.protection = mode);
-        let (rt, acks) = run_custom(spec.clone(), ecn_tcp());
-        println!("[ablation] {name}: runtime {rt:.4}s, ACK early-drops {acks}");
-        g.bench_function(&name, |b| b.iter(|| run_custom(spec.clone(), ecn_tcp())));
+        report(&name, red_spec(|rc| rc.protection = mode), ecn_tcp());
     }
-
-    g.finish();
-
-    // Keep the unused-import lints honest: these types are part of the
-    // ablation surface even when a particular build elides a case.
-    let _ = (Transport::Tcp, QueueKind::DropTail, BufferDepth::Shallow);
 }
-
-criterion_group!(benches, bench_ablations);
-criterion_main!(benches);
