@@ -16,7 +16,7 @@
 //! `results/.cache/` (`--no-cache` to bypass), merging results in point
 //! order so parallel, serial and cache-served runs emit byte-identical
 //! JSON. The [`gate`] module holds the benchmark regression gate
-//! (`bench_gate` bin, `BENCH_5.json`) that CI enforces, and the [`verify`]
+//! (`bench_gate` bin, `BENCH.json`) that CI enforces, and the [`verify`]
 //! module the `simverify` schedule-permutation determinism checker.
 
 pub mod cc_matrix;

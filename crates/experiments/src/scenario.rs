@@ -322,10 +322,11 @@ impl ScenarioConfig {
 
 /// Which simulation engine evaluates a point.
 ///
-/// `Fast` is the optimised path (calendar-queue scheduler, slab lookups,
-/// timer cancellation); `Reference` is the seed implementation (binary-heap
-/// scheduler, map lookups, full-scan flushes), kept so the perf report can
-/// measure before/after in one process. Both produce identical metrics.
+/// `Fast` is the optimised path (reused event buffers, slab lookups, timer
+/// cancellation); `Reference` is the seed implementation (a fresh buffer per
+/// event, map lookups, full-scan flushes, spurious timer fires), kept so
+/// `bench_gate` can measure before/after in one process. Both run on the
+/// same binary-heap event queue and produce identical metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
     /// Optimised kernel (the default everywhere).
@@ -498,7 +499,8 @@ pub fn run_scenario_once_full(
     // 128 kB receive windows (Hadoop-era Linux autotuning scale) bound the
     // slow-start overshoot of each shuffle flow, and SACK is off because the
     // paper's substrate (NS-2 FullTcp under MRPerf) predates it; flip
-    // `sack: true` for the modern-stack ablation (`cargo bench ablations`).
+    // `sack: true` for the modern-stack ablation
+    // (`cargo run --release --example ablations`).
     let base = match cfg.cc {
         // Controller override: run `alg` under the ECN mode it requires,
         // using the transport's mode as the hint (so `--cc cubic` with the

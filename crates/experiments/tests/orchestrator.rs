@@ -4,8 +4,8 @@
 
 use ecn_core::ProtectionMode;
 use experiments::gate::{
-    BenchReport, CcSection, CcWorkload, EndToEndSection, KernelSection, KernelWorkload,
-    LinkSection, PoolSection, ShardSection, SweepSection,
+    BenchReport, CcSection, CcWorkload, EndToEndSection, LinkSection, PoolSection, ShardSection,
+    SweepSection,
 };
 use experiments::scenario::{QueueKind, Transport};
 use experiments::{sweep_with, CacheMode, SweepGrid, SweepOptions};
@@ -186,19 +186,8 @@ fn fig2_bin_trace_executes_despite_warm_cache() {
 }
 
 fn canned_report() -> BenchReport {
-    let wl = |heap: f64, fast: f64| KernelWorkload {
-        pending: 65_536,
-        popped_events: 300_000,
-        heap_events_per_sec: heap,
-        fast_events_per_sec: fast,
-        speedup: fast / heap,
-    };
     BenchReport {
         description: "test report".into(),
-        kernel: KernelSection {
-            churn: wl(4.0e6, 9.0e6),
-            cancel_heavy: wl(3.0e6, 8.0e6),
-        },
         end_to_end: EndToEndSection {
             hosts: 32,
             fast_seconds: 0.5,
@@ -308,8 +297,6 @@ fn bench_gate_fails_against_inflated_baseline() {
     write_report(&current, &canned_report());
 
     let mut inflated = canned_report();
-    inflated.kernel.churn.speedup *= 1.2;
-    inflated.kernel.cancel_heavy.speedup *= 1.2;
     inflated.sweep_fig2_shallow.fast_seconds /= 1.4;
     inflated.end_to_end.engine_speedup *= 1.5;
     inflated.shard.speedup *= 1.5;

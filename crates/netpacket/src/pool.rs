@@ -3,7 +3,7 @@
 //! Every packet travelling the simulated network lives in a [`PacketPool`]
 //! slot and is referred to by a 8-byte generation-checked [`PacketRef`].
 //! Scheduler events and queue disciplines carry the handle instead of the
-//! ~112-byte [`Packet`] struct, so calendar-bucket sifts memcpy 16-byte
+//! ~112-byte [`Packet`] struct, so event-queue heap sifts memcpy 16-byte
 //! events and a port queue stores 8 bytes per resident, and slot storage is
 //! recycled: once the pool has grown to the simulation's live high-water
 //! mark, inserting and removing packets performs **zero** heap allocation.

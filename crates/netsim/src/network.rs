@@ -42,7 +42,7 @@ pub(crate) const SAMPLE_LANE: u16 = 0xFFFE;
 /// Simulation events.
 ///
 /// Events carry [`PacketRef`] pool handles, not packets: a `ScheduledEvent`
-/// is ~16 bytes, so calendar-bucket sifts stop memcpying ~120-byte packet
+/// is ~16 bytes, so event-queue heap sifts stop memcpying ~120-byte packet
 /// structs around.
 #[derive(Debug)]
 pub enum Event {
@@ -1192,9 +1192,9 @@ impl Network {
 
     /// Switch per-packet processing to the seed implementation's algorithms:
     /// `BTreeMap` endpoint lookups, drain-every-endpoint flushes with a fresh
-    /// allocation per flush, and full-scan timer re-arms. Kept — like
-    /// `simevent::EventQueue` — as the measured "before" of the perf report
-    /// (`BENCH_1.json`); both modes produce identical simulation results.
+    /// allocation per flush, and full-scan timer re-arms. Kept as the
+    /// measured "before" of `bench_gate`'s `end_to_end` section; both modes
+    /// produce identical simulation results.
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference_mode = on;
         // The seed also boxed every packet individually; mirror that in the

@@ -3,7 +3,7 @@
 use crate::network::{dev_lane, DevRef, Event, Network, APP_LANE, SAMPLE_LANE};
 use netpacket::{FlowId, NodeId};
 use simevent::{
-    HeapScheduler, QueueBackend, RunOutcome, Scheduler, SchedulerConfig, SimTime, TieBreak,
+    EventQueue, QueueBackend, RunOutcome, Scheduler, SchedulerConfig, SimTime, TieBreak,
     TimerHandle,
 };
 use tcpstack::TcpConfig;
@@ -102,17 +102,17 @@ impl<A: Application> Simulation<A> {
     /// Run until the application is done, the event queue drains, or the
     /// time limit is hit.
     ///
-    /// Uses the default hybrid scheduler backend — a calendar queue for plain
-    /// transmission/arrival events plus a hierarchical timer wheel for the
-    /// cancellable RTO-class timers; see [`Simulation::run_with_backend`] to
-    /// pin a specific one.
+    /// Runs on the binary-heap [`EventQueue`], the queue the windowed engine
+    /// uses per shard as well; cancellable host timers are the only queue
+    /// difference between the two loops.
     pub fn run(&mut self) -> RunReport {
-        self.run_with_backend::<simevent::HybridQueue<Event>>()
+        self.run_with_backend::<EventQueue<Event>>()
     }
 
-    /// Run on an explicit scheduler backend (e.g. the reference binary-heap
-    /// [`simevent::EventQueue`] for benchmarking). Both backends pop in the
-    /// same order, so the report is identical either way.
+    /// Run on an explicit scheduler backend. [`EventQueue`] is the only one
+    /// in the workspace; the parameter lets a wrapper around it (the
+    /// `simbench` benchmark's call-counting queue) observe every queue
+    /// operation of a run without changing its result.
     pub fn run_with_backend<Q: QueueBackend<Event>>(&mut self) -> RunReport {
         let mut sched: Scheduler<Event, Q> = Scheduler::new(SchedulerConfig {
             time_limit: self.time_limit,
@@ -205,14 +205,14 @@ impl<A: Application> Simulation<A> {
     }
 
     /// The seed implementation's event loop, kept as the measured "before"
-    /// of the perf report: binary-heap scheduler, a fresh pending-buffer
+    /// of `bench_gate`'s engine comparison: a fresh pending-buffer
     /// allocation per event, and no `HostTimers` cancellation (superseded
     /// timer events fire spuriously). Pair with
     /// [`Network::set_reference_mode`] for a faithful end-to-end reference.
     /// Simulation results are identical to [`Simulation::run`]; only the
     /// event count can differ (spurious timer fires).
     pub fn run_reference(&mut self) -> RunReport {
-        let mut sched: HeapScheduler<Event> = Scheduler::new(SchedulerConfig {
+        let mut sched: Scheduler<Event> = Scheduler::new(SchedulerConfig {
             time_limit: self.time_limit,
             event_limit: u64::MAX,
             tie_break: self.tie_break,

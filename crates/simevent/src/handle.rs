@@ -1,5 +1,5 @@
-//! Timer cancellation: handles and lazy-deletion bookkeeping shared by both
-//! queue backends.
+//! Timer cancellation: handles and the event queue's lazy-deletion
+//! bookkeeping.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -30,9 +30,7 @@ type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
 
 /// Identifies one cancellable scheduled event.
 ///
-/// A handle is the event's unique sequence number, so handles from the two
-/// queue backends are interchangeable when the same operations are applied to
-/// each (the equivalence proptests rely on this). A handle is dead once the
+/// A handle is the event's unique sequence number. A handle is dead once the
 /// event fires or is cancelled; cancelling a dead handle is a no-op returning
 /// `false`, never a panic — exactly what rearmed TCP timers need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,8 +38,8 @@ pub struct TimerHandle(pub(crate) u64);
 
 /// Lazy-deletion state. Cancelled events stay physically enqueued and are
 /// skipped ("reaped") when they surface at pop, trading a tiny deferred cost
-/// for O(1) cancellation with no searching — the generation-counter scheme
-/// timer wheels use, with the global `seq` as the generation.
+/// for O(1) cancellation with no searching, with the global `seq` as the
+/// generation.
 #[derive(Debug, Default)]
 pub(crate) struct CancelSet {
     /// Handles registered and still pending.

@@ -7,23 +7,19 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time, so every
 //!   run is exactly reproducible (no floating-point drift in the clock).
-//! * [`EventQueue`] — a binary-heap priority queue with *stable* FIFO ordering
-//!   for events scheduled at the same instant, which is required for
-//!   deterministic packet ordering. Kept as the reference implementation.
-//! * [`CalendarQueue`] — the fast path: a time-bucketed calendar queue with
-//!   O(1)-amortised scheduling, proptest-verified to pop in exactly the same
-//!   order as [`EventQueue`].
-//! * [`TimerWheel`] — a hierarchical timer wheel with O(1) *physical*
-//!   cancellation for the RTO-class timer population, where nearly every
-//!   scheduled timer is cancelled and rearmed before it fires.
-//! * [`HybridQueue`] — the production backend: plain events go to the
-//!   calendar, cancellable timers to the wheel, merged under one shared
-//!   sequence counter so pops stay bit-identical to a single queue.
-//! * [`TimerHandle`] cancellation on every backend, so rearmed timers
+//! * [`EventQueue`] — the event queue: a binary heap ordered by
+//!   `(time, tie)`, with *stable* FIFO ordering for events scheduled at the
+//!   same instant, which is required for deterministic packet ordering. Both
+//!   engines run on it: the serial loop through [`Scheduler`], the windowed
+//!   sharded engine per shard.
+//! * [`TimerHandle`] cancellation (lazy deletion), so rearmed timers
 //!   (TCP RTO, delayed ACK) stop ballooning the pending-event set.
+//! * [`QueueBackend`] — the queue operations as a trait, so a wrapper (the
+//!   `simbench` benchmark's call-counting queue) can stand in for
+//!   [`EventQueue`] without touching [`Scheduler`].
 //! * [`Scheduler`] — a run-to-completion driver with event accounting and a
 //!   hard time limit to guard against runaway simulations; generic over the
-//!   queue backend, defaulting to the calendar queue.
+//!   queue backend, defaulting to [`EventQueue`].
 //! * [`SimRng`] — seedable RNG plumbing so stochastic components (e.g. RED's
 //!   drop probability) are reproducible.
 //! * [`TieBreak`] — the same-instant ordering policy: FIFO in production,
@@ -43,25 +39,24 @@
 //! assert_eq!(t, SimTime::from_micros(1));
 //! ```
 
-mod calendar;
 mod handle;
-mod hybrid;
 mod queue;
 mod rng;
 mod scheduler;
 mod tiebreak;
 mod time;
-mod wheel;
 
-pub use calendar::CalendarQueue;
 pub use handle::TimerHandle;
-pub use hybrid::HybridQueue;
 pub use queue::{EventQueue, QueueBackend, ScheduledEvent};
 pub use rng::SimRng;
-pub use scheduler::{HeapScheduler, RunOutcome, Scheduler, SchedulerConfig, SchedulerStats};
+pub use scheduler::{RunOutcome, Scheduler, SchedulerConfig, SchedulerStats};
 pub use tiebreak::{pack_lane, TieBreak};
 pub use time::{SimDuration, SimTime};
-pub use wheel::TimerWheel;
+
+/// Alias of [`EventQueue`], kept for its only user: the `simbench` benchmark
+/// package, which wraps it in its call-counting queue. It can go once that
+/// package names [`EventQueue`].
+pub type HybridQueue<E> = EventQueue<E>;
 
 // The experiments crate's sweep orchestrator moves whole simulations across
 // worker threads, so the kernel types must stay `Send` (no `Rc`, no thread
@@ -78,9 +73,6 @@ mod thread_safety {
     #[test]
     fn kernel_types_are_send() {
         assert_send::<EventQueue<u64>>();
-        assert_send::<CalendarQueue<u64>>();
-        assert_send::<TimerWheel<u64>>();
-        assert_send::<HybridQueue<u64>>();
         assert_send::<TimerHandle>();
         assert_send::<SimRng>();
         assert_send::<Scheduler<u64>>();

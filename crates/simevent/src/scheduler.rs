@@ -1,6 +1,5 @@
 //! Run-to-completion simulation driver.
 
-use crate::calendar::CalendarQueue;
 use crate::handle::TimerHandle;
 use crate::queue::{EventQueue, QueueBackend};
 use crate::tiebreak::TieBreak;
@@ -58,21 +57,21 @@ pub struct SchedulerStats {
 /// The handler receives `(&mut Scheduler, SimTime, E)` and may schedule further
 /// events; returning `false` stops the run.
 ///
-/// Generic over the queue backend `Q`: the default is the O(1)-amortised
-/// [`CalendarQueue`]; [`HeapScheduler`] pins the reference [`EventQueue`] for
-/// benchmarking the two against each other. Both backends pop in exactly the
-/// same order, so the choice never affects simulation results.
+/// Generic over the queue backend `Q`, which defaults to [`EventQueue`],
+/// the only backend in the workspace. The parameter stays so a wrapper such
+/// as the `simbench` benchmark's call-counting queue can stand in for it.
+///
+/// Scheduling into the simulated past panics in every build profile: a
+/// computed timestamp that precedes `now` is a causality bug, and the
+/// release runs behind published numbers must catch it too.
 #[derive(Debug)]
-pub struct Scheduler<E, Q: QueueBackend<E> = CalendarQueue<E>> {
+pub struct Scheduler<E, Q: QueueBackend<E> = EventQueue<E>> {
     queue: Q,
     now: SimTime,
     config: SchedulerConfig,
     peak_pending: usize,
     _events: PhantomData<fn() -> E>,
 }
-
-/// A [`Scheduler`] driven by the reference binary-heap [`EventQueue`].
-pub type HeapScheduler<E> = Scheduler<E, EventQueue<E>>;
 
 impl<E, Q: QueueBackend<E>> Default for Scheduler<E, Q> {
     fn default() -> Self {
@@ -297,7 +296,7 @@ mod tests {
         // Regression: after a burst of rearmed (cancelled) timers drains,
         // shrink_to_fit must both compact the queue and reset the high-water
         // mark, or the next burst reports the stale peak.
-        let mut s: HeapScheduler<u32> = Scheduler::default();
+        let mut s: Scheduler<u32> = Scheduler::default();
         let mut handles = Vec::new();
         for i in 0..512u64 {
             handles.push(s.schedule_cancellable_at(SimTime::from_nanos(100 + i), 0));

@@ -70,6 +70,10 @@ impl LintReport {
 }
 
 /// Lint the workspace rooted at `root`, applying `waivers`.
+///
+/// Fails on any waiver that silences no finding: a dead waiver outlives the
+/// code it justified and would silently cover whatever lands on its path
+/// next.
 pub fn lint_workspace(root: &Path, waivers: &[Waiver]) -> Result<LintReport, String> {
     let files = walk::rust_sources(root)?;
     let mut findings = Vec::new();
@@ -81,6 +85,17 @@ pub fn lint_workspace(root: &Path, waivers: &[Waiver]) -> Result<LintReport, Str
             f.waived = waivers.iter().any(|w| w.covers(&f));
             findings.push(f);
         }
+    }
+    let dead: Vec<String> = waivers
+        .iter()
+        .filter(|w| !findings.iter().any(|f| w.covers(f)))
+        .map(|w| format!("{} {}", w.code, w.path))
+        .collect();
+    if !dead.is_empty() {
+        return Err(format!(
+            "waivers that silence no finding (delete them): {}",
+            dead.join(", ")
+        ));
     }
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code)));
@@ -195,6 +210,32 @@ mod tests {
         let sl4 = json.find("\"SL004\"").unwrap();
         assert!(sl1 < sl4, "rule counts must be code-sorted");
         assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn dead_waiver_fails_the_lint() {
+        let root = std::env::temp_dir().join(format!("simlint-dead-waiver-{}", std::process::id()));
+        let src = root.join("crates/a/src");
+        fs::create_dir_all(&src).expect("temp tree");
+        fs::write(
+            src.join("lib.rs"),
+            "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        )
+        .expect("temp source");
+        let live = "[[waiver]]\ncode = \"SL004\"\npath = \"crates/a/src/lib.rs\"\nreason = \"r\"\n";
+        let dead = "[[waiver]]\ncode = \"SL004\"\npath = \"crates/b\"\nreason = \"r\"\n";
+        let with_dead = config::parse(&format!("{live}{dead}")).expect("parses");
+        let err = lint_workspace(&root, &with_dead).expect_err("dead waiver must fail");
+        let live_only = lint_workspace(&root, &config::parse(live).expect("parses"));
+        fs::remove_dir_all(&root).expect("temp tree removed");
+        assert!(err.contains("SL004 crates/b"), "{err}");
+        assert!(
+            !err.contains("crates/a"),
+            "the live waiver is not dead: {err}"
+        );
+        let report = live_only.expect("every waiver silences a finding");
+        assert!(report.is_clean());
+        assert_eq!(report.waived_count(), 1);
     }
 
     #[test]

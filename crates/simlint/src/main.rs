@@ -38,7 +38,8 @@ fn parse_args() -> Result<Args, String> {
                      USAGE: simlint [--root DIR] [--config FILE] [--json]\n\n\
                      Scans crates/**/*.rs for SL001-SL012 violations.\n\
                      Waivers: simlint.toml at the workspace root (or --config).\n\
-                     Exit: 0 clean, 1 findings, 2 usage/config error."
+                     Exit: 0 clean, 1 findings, 2 usage/config error\n\
+                     (including a waiver that silences no finding)."
                 );
                 std::process::exit(0);
             }

@@ -13,8 +13,8 @@
 //!
 //! The flow list is a plain deterministic function of the config — no RNG —
 //! so the same config always produces the identical workload, which is what
-//! lets the BENCH_8 speedup gate byte-compare sharded runs. Feed the result
-//! to [`netsim::StaticFlows`].
+//! lets `bench_gate`'s `shard` section byte-compare sharded runs. Feed the
+//! result to [`netsim::StaticFlows`].
 
 use netpacket::NodeId;
 use simevent::{SimDuration, SimTime};

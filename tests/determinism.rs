@@ -1,15 +1,12 @@
 //! Determinism regression: the same seed must yield the same metrics, run to
-//! run and scheduler backend to scheduler backend.
+//! run.
 //!
-//! The fast-path work (calendar queue, timer cancellation, slab lookups) is
-//! only admissible because it is bit-for-bit output-preserving; these tests
-//! pin that property across every transport × queue combination the paper
-//! sweeps.
+//! The fast-path work (timer cancellation, slab lookups) is only admissible
+//! because it is bit-for-bit output-preserving; these tests pin that
+//! property across every transport × queue combination the paper sweeps.
 
 use ecn_core::ProtectionMode;
 use experiments::scenario::{run_scenario_once, BufferDepth, QueueKind, ScenarioConfig, Transport};
-use hadoop_ecn::prelude::*;
-use simevent::EventQueue;
 
 fn combos() -> Vec<(Transport, QueueKind)> {
     let mut v = vec![(Transport::Tcp, QueueKind::DropTail)];
@@ -45,43 +42,4 @@ fn terasort_repeats_identically_per_combo() {
             "{transport:?} / {queue:?} did not complete"
         );
     }
-}
-
-/// The calendar-queue default backend and the reference binary heap must pop
-/// in the same order, so a full Terasort run reports identical outcomes on
-/// either (including the event count — both loops use cancellation).
-#[test]
-fn calendar_and_heap_backends_agree_on_terasort() {
-    let run = |calendar: bool| {
-        let spec = ClusterSpec {
-            racks: 2,
-            hosts_per_rack: 3,
-            host_link: LinkSpec::gbps(1, 5),
-            uplink: LinkSpec::gbps(10, 5),
-            switch_qdisc: QdiscSpec::SimpleMarking(SimpleMarkingConfig {
-                capacity_packets: 100,
-                threshold_packets: 20,
-            }),
-            host_buffer_packets: 2000,
-            seed: 99,
-        };
-        let n = spec.total_hosts();
-        let job = JobSpec::small(600_000, TcpConfig::with_ecn(EcnMode::Dctcp));
-        let net = Network::new(spec);
-        let app = TerasortJob::new(job, n);
-        let mut sim = Simulation::new(net, app);
-        let report = if calendar {
-            sim.run()
-        } else {
-            sim.run_with_backend::<EventQueue<netsim::Event>>()
-        };
-        (
-            report.events,
-            report.end_time,
-            sim.app.result(),
-            sim.net.total_bytes_received(),
-            sim.net.port_stats().total.marked.total(),
-        )
-    };
-    assert_eq!(run(true), run(false));
 }
