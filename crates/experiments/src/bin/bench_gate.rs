@@ -14,10 +14,10 @@
 //!       and for post-hoc analysis of CI artifacts).
 //!
 //! Tolerances: every toleranced metric — wall-clock seconds, per-packet
-//! costs, the cc vs-Reno ratios, and the end-to-end engine and shard
-//! speedups — may regress ≤25%. The shard speedup must also reach 2x on
-//! machines with ≥4 cores, and output divergence (serial vs parallel, fast
-//! vs reference, sharded vs serial) fails outright. See `experiments::gate`.
+//! costs, the cc vs-Reno ratios, and the shard speedup — may regress ≤25%.
+//! The shard speedup must also reach 2x on machines with ≥4 cores, and
+//! output divergence (serial vs parallel, sharded vs serial) fails
+//! outright. See `experiments::gate`.
 
 use experiments::gate::{
     compare, measure, BenchReport, Tolerance, BENCH8_MIN_SPEEDUP, BENCH8_SHARDS,
@@ -112,20 +112,9 @@ fn main() {
     let violations = compare(&current, &baseline, &Tolerance::default());
     println!("== bench gate vs {} ==", baseline_path.display());
     println!(
-        "end-to-end ({} hosts): reference {:.2}s, fast {:.2}s ({:.2}x, {:.2}M ev/s)",
-        current.end_to_end.hosts,
-        current.end_to_end.reference_seconds,
-        current.end_to_end.fast_seconds,
-        current.end_to_end.engine_speedup,
-        current.end_to_end.fast_events_per_sec / 1e6,
-    );
-    println!(
-        "sweep: {} points, reference {:.2}s, fast {:.2}s ({:.2}x), parallel {:.2}s, \
-         outputs identical: {}",
+        "sweep: {} points, serial {:.2}s, parallel {:.2}s, outputs identical: {}",
         current.sweep_fig2_shallow.points,
-        current.sweep_fig2_shallow.reference_seconds,
         current.sweep_fig2_shallow.fast_seconds,
-        current.sweep_fig2_shallow.engine_speedup,
         current.sweep_fig2_shallow.parallel_seconds,
         current.sweep_fig2_shallow.outputs_identical,
     );
@@ -144,15 +133,14 @@ fn main() {
         .collect();
     println!("cc on_ack: {}", cc_line.join(", "));
     println!(
-        "pool: {} packets, {} pooled heap allocs (reference {}), {:.2}M inserts/s",
+        "pool: {} packets, {} heap allocs, {:.2}M inserts/s",
         current.pool.packets,
         current.pool.pooled_heap_allocs,
-        current.pool.reference_heap_allocs,
         current.pool.pooled_inserts_per_sec / 1e6,
     );
     println!(
-        "link: {:.2} events/packet fast vs {:.2} reference",
-        current.link.fast_events_per_packet, current.link.reference_events_per_packet,
+        "link: {:.2} events/packet",
+        current.link.fast_events_per_packet
     );
     println!(
         "shard ({} hosts, {} flows, {} events): serial {:.2}s, {} shards {:.2}s — speedup \

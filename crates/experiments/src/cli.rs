@@ -2,8 +2,7 @@
 
 use crate::report::write_sweep_json;
 use crate::scenario::{
-    run_scenario_once_traced, BufferDepth, Engine, QueueKind, ScenarioConfig, TopologyKind,
-    Transport,
+    run_scenario_once_full, BufferDepth, Engine, QueueKind, ScenarioConfig, TopologyKind, Transport,
 };
 use crate::simsweep::{CacheMode, SweepOptions};
 use crate::sweep::{sweep_with, SweepGrid, SweepResults};
@@ -243,7 +242,7 @@ pub fn run_traced_point(args: &CliArgs, path: &Path) -> std::io::Result<()> {
         ProtectionMode::Default.label(),
         path.display()
     );
-    let (m, report) = run_scenario_once_traced(
+    let (m, report, _) = run_scenario_once_full(
         &cfg,
         Transport::Dctcp,
         QueueKind::Red(ProtectionMode::Default),

@@ -13,41 +13,37 @@
 //!   gated on its throughput ratio against Reno sampled interleaved, so a
 //!   controller that grows an allocation or a quadratic scan on the ACK
 //!   path trips the gate.
-//! * **end_to_end** — the hot-host DCTCP point run on both engines.
-//! * **pool** — packet-arena allocation accounting on that point: heap
-//!   allocations (slab spill in pooled mode, one Box per insert in
-//!   reference mode) per delivered packet, inserts per wall-second.
-//! * **link** — scheduler events per delivered packet for both engines;
-//!   the batched transmitter's event elision shows up here directly.
+//! * **pool** — packet-arena allocation accounting on the hot-host DCTCP
+//!   point: heap allocations (slab growth only) per delivered packet,
+//!   inserts per wall-second.
+//! * **link** — scheduler events per delivered packet on that point; the
+//!   batched transmitter's event elision and timer cancellation show up
+//!   here directly.
 //!
 //! Both per-packet ratios divide by packets delivered to hosts
 //! (`RunReport::delivered`), not by pool inserts: how often a packet enters
 //! the pool is a storage detail (once per emission since queues hold
 //! handles), while deliveries are fixed by the simulated workload.
 //! * **sweep_fig2_shallow** — the standard point set end to end:
-//!   `reference_seconds` is the serial sweep on the reference engine (seed
-//!   allocation model + binary-heap scheduler + spurious timers),
-//!   `fast_seconds` the serial sweep on the fast engine, and
-//!   `parallel_seconds` the fast engine on one worker per core.
-//!   `outputs_identical` asserts serial == parallel AND fast == reference
-//!   metrics — the determinism contract of both the parallel executor and
-//!   the arena/batching overhaul, measured on every gate run.
+//!   `fast_seconds` is the serial sweep and `parallel_seconds` the same
+//!   sweep on one worker per core. `outputs_identical` asserts serial ==
+//!   parallel metrics — the parallel executor's determinism contract,
+//!   measured on every gate run.
 //! * **shard** — the sharded windowed engine on the BENCH_8 fabric (named
 //!   after the report that introduced it): a 1024-host fat-tree DCTCP point
 //!   at one shard and at [`BENCH8_SHARDS`] shards. `cores` records how many
 //!   cores the measuring machine exposed.
 //!
 //! Gate policy (see [`compare`]): every toleranced metric — wall-clock
-//! seconds, per-packet costs, the cc vs-Reno ratios, and the speedups that
-//! divide two sequential runs (`end_to_end.engine_speedup`,
-//! `shard.speedup`) — may regress at most [`Tolerance::wall_clock_frac`]
-//! (25%, CI machines are shared). `shard.speedup` must also reach
-//! [`BENCH8_MIN_SPEEDUP`] on machines with at least [`BENCH8_SHARDS`] cores,
-//! and both `outputs_identical` flags must hold outright.
+//! seconds, per-packet costs, the cc vs-Reno ratios, and `shard.speedup`,
+//! which divides two sequential runs — may regress at most
+//! [`Tolerance::wall_clock_frac`] (25%, CI machines are shared).
+//! `shard.speedup` must also reach [`BENCH8_MIN_SPEEDUP`] on machines with
+//! at least [`BENCH8_SHARDS`] cores, and both `outputs_identical` flags must
+//! hold outright.
 
 use crate::scenario::{
-    run_scenario_once_full, run_scenario_once_with, BufferDepth, Engine, QueueKind, RunMetrics,
-    ScenarioConfig, Transport,
+    run_scenario_once_full, BufferDepth, Engine, QueueKind, RunMetrics, ScenarioConfig, Transport,
 };
 use crate::simsweep::{CacheMode, SweepOptions};
 use crate::sweep::SweepGrid;
@@ -85,49 +81,18 @@ pub struct CcSection {
 /// Packet-arena allocation accounting on the measured DCTCP point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoolSection {
-    /// Packets delivered to hosts over the point (pooled run).
+    /// Packets delivered to hosts over the point.
     pub packets: u64,
-    /// Heap allocations the pooled run performed for packet storage — slab
-    /// growth only; steady state recycles slots.
+    /// Heap allocations the run performed for packet storage — slab growth
+    /// only; steady state recycles slots.
     pub pooled_heap_allocs: u64,
-    /// Heap allocations the reference (seed) model performed: one Box per
-    /// packet.
-    pub reference_heap_allocs: u64,
     /// Pooled heap allocations per delivered packet (slab growth amortized
     /// away).
     pub pooled_allocs_per_packet: f64,
-    /// Pool inserts per wall-second, pooled run.
+    /// Pool inserts per wall-second.
     pub pooled_inserts_per_sec: f64,
-    /// Pool inserts per wall-second, reference run.
-    pub reference_inserts_per_sec: f64,
     /// High-water mark of simultaneously live packets.
     pub high_water: u64,
-}
-
-/// End-to-end engine comparison on the hot-host DCTCP point: the same
-/// simulation run on the fast engine (arena + wheel + batching + SoA flow
-/// state) and the reference engine (seed allocation model, binary-heap
-/// scheduler, full-scan bookkeeping). The point is sized so per-host flow
-/// concurrency is realistic — that is where the seed's per-event endpoint
-/// scans actually cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EndToEndSection {
-    /// Hosts in the hot-point cluster.
-    pub hosts: u64,
-    /// Wall seconds, fast engine.
-    pub fast_seconds: f64,
-    /// Wall seconds, reference engine.
-    pub reference_seconds: f64,
-    /// reference / fast — the headline end-to-end speedup.
-    pub engine_speedup: f64,
-    /// Scheduler events processed, fast engine.
-    pub fast_events: u64,
-    /// Scheduler events processed, reference engine.
-    pub reference_events: u64,
-    /// Events per wall-second, fast engine.
-    pub fast_events_per_sec: f64,
-    /// Events per wall-second, reference engine.
-    pub reference_events_per_sec: f64,
 }
 
 /// Scheduler events per delivered packet on the measured DCTCP point.
@@ -135,16 +100,11 @@ pub struct EndToEndSection {
 pub struct LinkSection {
     /// Packets delivered to hosts over the point.
     pub packets: u64,
-    /// Scheduler events processed, fast engine.
+    /// Scheduler events processed.
     pub fast_events: u64,
-    /// Events per delivered packet, fast engine (batched transmitter +
-    /// cancelled timers).
+    /// Events per delivered packet (batched transmitter + cancelled
+    /// timers).
     pub fast_events_per_packet: f64,
-    /// Scheduler events processed, reference engine (spurious timer fires
-    /// included).
-    pub reference_events: u64,
-    /// Events per delivered packet, reference engine.
-    pub reference_events_per_packet: f64,
 }
 
 /// The standard-point-set wall-clock section.
@@ -152,31 +112,19 @@ pub struct LinkSection {
 pub struct SweepSection {
     /// Points in the set.
     pub points: u64,
-    /// Serial sweep on the reference engine (seed allocation model,
-    /// binary-heap scheduler, spurious timers).
-    pub reference_seconds: f64,
-    /// Serial sweep on the fast engine.
+    /// Serial sweep.
     pub fast_seconds: f64,
-    /// Parallel sweep on the fast engine, one worker per core.
+    /// Parallel sweep, one worker per core.
     pub parallel_seconds: f64,
-    /// reference / fast: the end-to-end single-thread speedup of the
-    /// arena + wheel + batching overhaul.
-    pub engine_speedup: f64,
     /// fast / parallel: orchestrator scaling on the same point set.
     pub parallel_speedup: f64,
-    /// End-to-end events per wall-second, fast engine serial.
+    /// End-to-end events per wall-second, serial sweep.
     pub fast_events_per_sec: f64,
-    /// End-to-end events per wall-second, reference engine serial.
-    pub reference_events_per_sec: f64,
-    /// Serial == parallel AND fast == reference metrics.
+    /// Serial == parallel metrics.
     pub outputs_identical: bool,
-    /// Simulation events processed, reference engine.
-    pub reference_events: u64,
-    /// Simulation events processed, fast engine.
+    /// Simulation events processed, serial sweep.
     pub fast_events: u64,
-    /// Peak pending events, reference engine.
-    pub reference_peak_pending: u64,
-    /// Peak pending events, fast engine.
+    /// Peak pending events over the serial sweep's points.
     pub fast_peak_pending: u64,
 }
 
@@ -212,8 +160,6 @@ pub struct BenchReport {
     pub description: String,
     /// Congestion-controller `on_ack` microbenchmarks.
     pub cc: CcSection,
-    /// Hot-host end-to-end engine comparison.
-    pub end_to_end: EndToEndSection,
     /// Packet-arena allocation accounting.
     pub pool: PoolSection,
     /// Events per delivered packet.
@@ -323,15 +269,8 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, tol: &Tolerance) -
             tol.wall_clock_frac,
         ));
     }
-    // The end-to-end and shard speedups each divide two *sequential*
-    // wall-clock runs, so load noise does not cancel the way it does for the
-    // interleaved cc samples.
-    v.extend(higher(
-        "end_to_end.engine_speedup",
-        current.end_to_end.engine_speedup,
-        baseline.end_to_end.engine_speedup,
-        tol.wall_clock_frac,
-    ));
+    // The shard speedup divides two *sequential* wall-clock runs, so load
+    // noise does not cancel the way it does for the interleaved cc samples.
     v.extend(higher(
         "shard.speedup",
         current.shard.speedup,
@@ -378,8 +317,8 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, tol: &Tolerance) -
         tol.wall_clock_frac,
     ));
 
-    // Serial/parallel and pooled/reference outputs agree; every shard
-    // count produces the same simulation.
+    // Serial and parallel outputs agree; every shard count produces the
+    // same simulation.
     v.extend(holds(
         "sweep_fig2_shallow.outputs_identical",
         current.sweep_fig2_shallow.outputs_identical,
@@ -495,7 +434,7 @@ fn gate_points(seed: u64) -> (ScenarioConfig, Vec<(Transport, QueueKind, u64)>) 
 /// Run the standard point set through the orchestrator with `jobs` workers
 /// (cache disabled — the gate measures execution, never cache hits).
 /// Returns (wall seconds, metrics, total events, peak pending).
-fn run_gate_sweep(seed: u64, jobs: usize, engine: Engine) -> (f64, Vec<RunMetrics>, u64, u64) {
+fn run_gate_sweep(seed: u64, jobs: usize) -> (f64, Vec<RunMetrics>, u64, u64) {
     let (cfg, points) = gate_points(seed);
     let opts = SweepOptions {
         jobs,
@@ -503,13 +442,14 @@ fn run_gate_sweep(seed: u64, jobs: usize, engine: Engine) -> (f64, Vec<RunMetric
     };
     let start = Instant::now();
     let (results, _) = crate::simsweep::run_points(&points, &opts, |&(transport, queue, delay)| {
-        let (m, report) = run_scenario_once_with(
+        let (m, report, _) = run_scenario_once_full(
             &cfg,
             transport,
             queue,
             BufferDepth::Shallow,
             SimDuration::from_micros(delay),
-            engine,
+            Engine::Fast,
+            simtrace::TraceHandle::null(),
         );
         (m, report.events, report.peak_pending as u64)
     });
@@ -525,12 +465,11 @@ fn run_gate_sweep(seed: u64, jobs: usize, engine: Engine) -> (f64, Vec<RunMetric
     (wall, metrics, events, peak)
 }
 
-/// The hot-host configuration for the end-to-end/pool/link sections: a
-/// 32-host cluster with four map waves, so each host juggles dozens of
-/// concurrent shuffle flows. At gate-grid scale (4 hosts, a handful of
-/// flows) the seed's per-event endpoint scans and Box-per-packet model are
-/// in the noise; at this scale they dominate, which is exactly the regime
-/// the overhaul targets.
+/// The hot-host configuration for the pool/link sections: a 32-host cluster
+/// with four map waves, so each host juggles dozens of concurrent shuffle
+/// flows. At gate-grid scale (4 hosts, a handful of flows) per-host
+/// bookkeeping costs are in the noise; at this scale per-packet endpoint
+/// lookups and timer re-arms dominate.
 pub fn hot_host_config(seed: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::tiny();
     cfg.racks = 2;
@@ -542,29 +481,25 @@ pub fn hot_host_config(seed: u64) -> ScenarioConfig {
 }
 
 /// One steady-state DCTCP run (threshold marking, shallow buffers) of the
-/// hot-host point on the given engine.
-fn dctcp_point(
-    seed: u64,
-    engine: Engine,
-) -> (f64, RunMetrics, netsim::RunReport, netpacket::PoolStats) {
+/// hot-host point.
+fn dctcp_point(seed: u64) -> (f64, netsim::RunReport, netpacket::PoolStats) {
     let cfg = hot_host_config(seed);
     let start = Instant::now();
-    let (m, report, pool) = run_scenario_once_full(
+    let (_, report, pool) = run_scenario_once_full(
         &cfg,
         Transport::Dctcp,
         QueueKind::SimpleMarking,
         BufferDepth::Shallow,
         SimDuration::from_micros(500),
-        engine,
+        Engine::Fast,
         simtrace::TraceHandle::null(),
     );
-    (start.elapsed().as_secs_f64(), m, report, pool)
+    (start.elapsed().as_secs_f64(), report, pool)
 }
 
-/// Measure the full gate report: the cc microbenchmark, the
-/// end-to-end/pool/link sections on the DCTCP point, the standard point set
-/// serial reference vs serial fast vs parallel fast, and the fat-tree shard
-/// arm.
+/// Measure the full gate report: the cc microbenchmark, the pool/link
+/// sections on the DCTCP point, the standard point set serial vs parallel,
+/// and the fat-tree shard arm.
 pub fn measure(seed: u64) -> BenchReport {
     eprintln!("[bench_gate] congestion-controller on_ack microbench...");
     let cc = cc_section();
@@ -577,99 +512,64 @@ pub fn measure(seed: u64) -> BenchReport {
         );
     }
 
-    eprintln!("[bench_gate] hot-host DCTCP point, pooled fast engine...");
-    let (fast_pt_s, fast_pt_m, fast_pt_rep, fast_pool) = dctcp_point(seed, Engine::Fast);
+    eprintln!("[bench_gate] hot-host DCTCP point...");
+    let (pt_s, pt_rep, pool) = dctcp_point(seed);
     eprintln!(
         "  {:.3}s, {} packets, {} heap allocs, {} events",
-        fast_pt_s, fast_pt_rep.delivered, fast_pool.heap_allocs, fast_pt_rep.events
+        pt_s, pt_rep.delivered, pool.heap_allocs, pt_rep.events
     );
-    eprintln!("[bench_gate] hot-host DCTCP point, reference engine...");
-    let (ref_pt_s, ref_pt_m, ref_pt_rep, ref_pool) = dctcp_point(seed, Engine::Reference);
-    eprintln!(
-        "  {:.3}s, {} packets, {} heap allocs, {} events",
-        ref_pt_s, ref_pt_rep.delivered, ref_pool.heap_allocs, ref_pt_rep.events
-    );
-    eprintln!("  end-to-end engine speedup: {:.2}x", ref_pt_s / fast_pt_s);
-    let point_identical = fast_pt_m == ref_pt_m;
 
-    eprintln!("[bench_gate] standard point set, serial reference engine...");
-    let (ref_s, ref_metrics, ref_events, ref_peak) = run_gate_sweep(seed, 1, Engine::Reference);
-    eprintln!("  {ref_s:.2}s, {ref_events} events");
-    eprintln!("[bench_gate] standard point set, serial fast engine...");
-    let (serial_s, serial_metrics, serial_events, serial_peak) =
-        run_gate_sweep(seed, 1, Engine::Fast);
+    eprintln!("[bench_gate] standard point set, serial...");
+    let (serial_s, serial_metrics, serial_events, serial_peak) = run_gate_sweep(seed, 1);
     eprintln!("  {serial_s:.2}s, {serial_events} events");
-    eprintln!("[bench_gate] standard point set, parallel fast engine (all cores)...");
-    let (par_s, par_metrics, par_events, _par_peak) = run_gate_sweep(seed, 0, Engine::Fast);
+    eprintln!("[bench_gate] standard point set, parallel (all cores)...");
+    let (par_s, par_metrics, par_events, _par_peak) = run_gate_sweep(seed, 0);
     eprintln!("  {par_s:.2}s, {par_events} events");
 
-    let identical =
-        serial_metrics == par_metrics && serial_metrics == ref_metrics && point_identical;
+    let identical = serial_metrics == par_metrics;
     if !identical {
-        eprintln!("[bench_gate] WARNING: serial/parallel or fast/reference outputs differ!");
+        eprintln!("[bench_gate] WARNING: serial and parallel outputs differ!");
     }
 
     let shard = shard_section(seed);
 
-    let packets = fast_pt_rep.delivered;
+    let packets = pt_rep.delivered;
     BenchReport {
         description: format!(
             "Hot-path netbench gate: per-controller simcc on_ack hot-path microbenchmarks \
-             gated on the vs-Reno ratio; a hot-host DCTCP point \
-             run end to end on both engines with packet-arena allocation accounting and \
-             events-per-packet; the Fig. 2 shallow standard point set run serially on the \
-             reference engine (seed allocation model + heap scheduler), serially on the fast \
-             engine, and on one worker per core; and a k={BENCH8_FAT_TREE_K} fat-tree (1024 \
+             gated on the vs-Reno ratio; a hot-host DCTCP point with packet-arena \
+             allocation accounting and events-per-packet; the Fig. 2 shallow standard point \
+             set run serially and on one worker per core; and a k={BENCH8_FAT_TREE_K} fat-tree (1024 \
              hosts, ECMP) running DCTCP with threshold marking under a bisection permutation \
              plus per-pod hotspot fan-in, on the windowed conservative-lookahead engine at 1 \
              shard vs {BENCH8_SHARDS} shards. sweep_fig2_shallow.outputs_identical asserts \
-             serial == parallel AND fast == reference metrics on every point; \
+             serial == parallel metrics on every point; \
              shard.outputs_identical asserts every fat-tree sample at every shard count \
              produced identical completion times, event counts, end times and mark counters; \
              shard.speedup has an absolute floor of {BENCH8_MIN_SPEEDUP}x when cores >= \
              {BENCH8_SHARDS}."
         ),
         cc,
-        end_to_end: EndToEndSection {
-            hosts: hot_host_config(seed).hosts() as u64,
-            fast_seconds: fast_pt_s,
-            reference_seconds: ref_pt_s,
-            engine_speedup: ref_pt_s / fast_pt_s,
-            fast_events: fast_pt_rep.events,
-            reference_events: ref_pt_rep.events,
-            fast_events_per_sec: fast_pt_rep.events as f64 / fast_pt_s,
-            reference_events_per_sec: ref_pt_rep.events as f64 / ref_pt_s,
-        },
         pool: PoolSection {
             packets,
-            pooled_heap_allocs: fast_pool.heap_allocs,
-            reference_heap_allocs: ref_pool.heap_allocs,
-            pooled_allocs_per_packet: fast_pool.heap_allocs as f64 / packets.max(1) as f64,
-            pooled_inserts_per_sec: fast_pool.inserts as f64 / fast_pt_s,
-            reference_inserts_per_sec: ref_pool.inserts as f64 / ref_pt_s,
-            high_water: fast_pool.high_water as u64,
+            pooled_heap_allocs: pool.heap_allocs,
+            pooled_allocs_per_packet: pool.heap_allocs as f64 / packets.max(1) as f64,
+            pooled_inserts_per_sec: pool.inserts as f64 / pt_s,
+            high_water: pool.high_water as u64,
         },
         link: LinkSection {
             packets,
-            fast_events: fast_pt_rep.events,
-            fast_events_per_packet: fast_pt_rep.events as f64 / packets.max(1) as f64,
-            reference_events: ref_pt_rep.events,
-            reference_events_per_packet: ref_pt_rep.events as f64
-                / ref_pt_rep.delivered.max(1) as f64,
+            fast_events: pt_rep.events,
+            fast_events_per_packet: pt_rep.events as f64 / packets.max(1) as f64,
         },
         sweep_fig2_shallow: SweepSection {
             points: serial_metrics.len() as u64,
-            reference_seconds: ref_s,
             fast_seconds: serial_s,
             parallel_seconds: par_s,
-            engine_speedup: ref_s / serial_s,
             parallel_speedup: serial_s / par_s,
             fast_events_per_sec: serial_events as f64 / serial_s,
-            reference_events_per_sec: ref_events as f64 / ref_s,
             outputs_identical: identical,
-            reference_events: ref_events,
             fast_events: serial_events,
-            reference_peak_pending: ref_peak,
             fast_peak_pending: serial_peak,
         },
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
@@ -818,45 +718,26 @@ mod tests {
                     })
                     .collect(),
             },
-            end_to_end: EndToEndSection {
-                hosts: 32,
-                fast_seconds: 0.4,
-                reference_seconds: 1.2,
-                engine_speedup: 3.0,
-                fast_events: 1_800_000,
-                reference_events: 1_800_000,
-                fast_events_per_sec: 4.5e6,
-                reference_events_per_sec: 1.5e6,
-            },
             pool: PoolSection {
                 packets: 100_000,
                 pooled_heap_allocs: 32,
-                reference_heap_allocs: 100_000,
                 pooled_allocs_per_packet: 0.00032,
                 pooled_inserts_per_sec: 2.0e6,
-                reference_inserts_per_sec: 1.0e6,
                 high_water: 64,
             },
             link: LinkSection {
                 packets: 100_000,
                 fast_events: 250_000,
                 fast_events_per_packet: 2.5,
-                reference_events: 420_000,
-                reference_events_per_packet: 4.2,
             },
             sweep_fig2_shallow: SweepSection {
                 points: 19,
-                reference_seconds: 4.0,
                 fast_seconds: 1.0,
                 parallel_seconds: 0.5,
-                engine_speedup: 4.0,
                 parallel_speedup: 2.0,
                 fast_events_per_sec: 1.0e6,
-                reference_events_per_sec: 0.5e6,
                 outputs_identical: true,
-                reference_events: 1_200_000,
                 fast_events: 1_000_000,
-                reference_peak_pending: 100,
                 fast_peak_pending: 100,
             },
             cores: 8,
@@ -886,7 +767,7 @@ mod tests {
         let mut cur = report();
         cur.cc.controllers[1].ops_per_sec *= 0.95; // ungated absolute rate
         cur.sweep_fig2_shallow.fast_seconds *= 1.05; // +5% < 10%
-        cur.sweep_fig2_shallow.engine_speedup *= 0.95;
+        cur.shard.speedup *= 0.95;
         cur.link.fast_events_per_packet *= 1.05;
         assert!(compare(&cur, &base, &Tolerance::default()).is_empty());
     }
@@ -897,11 +778,9 @@ mod tests {
         // than we can measure must trip the gate.
         let cur = report();
         let mut base = report();
-        base.end_to_end.engine_speedup *= 1.5;
         base.sweep_fig2_shallow.fast_seconds /= 1.4;
         let v = compare(&cur, &base, &Tolerance::default());
         let metrics: Vec<&str> = v.iter().map(|x| x.metric.as_str()).collect();
-        assert!(metrics.contains(&"end_to_end.engine_speedup"));
         assert!(metrics.contains(&"sweep_fig2_shallow.fast_seconds"));
     }
 
@@ -974,7 +853,7 @@ mod tests {
         assert!(json.contains("\"pool\""));
         assert!(json.contains("\"link\""));
         assert!(json.contains("\"sweep_fig2_shallow\""));
-        assert!(json.contains("\"engine_speedup\""));
+        assert!(!json.contains("end_to_end"));
         assert!(json.contains("\"cores\""));
         assert!(json.contains("\"shard\""));
         assert!(json.contains("\"speedup\""));

@@ -320,19 +320,15 @@ impl ScenarioConfig {
     }
 }
 
-/// Which simulation engine evaluates a point.
-///
-/// `Fast` is the optimised path (reused event buffers, slab lookups, timer
-/// cancellation); `Reference` is the seed implementation (a fresh buffer per
-/// event, map lookups, full-scan flushes, spurious timer fires), kept so
-/// `bench_gate` can measure before/after in one process. Both run on the
-/// same binary-heap event queue and produce identical metrics.
+/// Which simulation engine evaluates a point. There is one; the type stays
+/// only because the `simbench` benchmark package passes `Engine::Fast` to
+/// [`run_scenario_once_full`], and it can go once that package stops naming
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
-    /// Optimised kernel (the default everywhere).
+    /// The simulator's event loop: the classic loop, or the windowed engine
+    /// when [`ScenarioConfig::shards`] is set.
     Fast,
-    /// Seed-faithful slow path, for benchmarking only.
-    Reference,
 }
 
 /// Everything measured from one run.
@@ -420,52 +416,23 @@ pub fn run_scenario_once(
     depth: BufferDepth,
     target_delay: SimDuration,
 ) -> RunMetrics {
-    run_scenario_once_with(cfg, transport, queue, depth, target_delay, Engine::Fast).0
-}
-
-/// One repetition on an explicit [`Engine`], also returning the simulation's
-/// [`netsim::RunReport`] (event counts, peak pending events) for the perf
-/// report.
-pub fn run_scenario_once_with(
-    cfg: &ScenarioConfig,
-    transport: Transport,
-    queue: QueueKind,
-    depth: BufferDepth,
-    target_delay: SimDuration,
-    engine: Engine,
-) -> (RunMetrics, netsim::RunReport) {
-    run_scenario_once_traced(
+    let (m, _, _) = run_scenario_once_full(
         cfg,
         transport,
         queue,
         depth,
         target_delay,
-        engine,
+        Engine::Fast,
         simtrace::TraceHandle::null(),
-    )
+    );
+    m
 }
 
-/// One repetition with a packet-lifecycle trace attached (`--trace`). With
-/// the null handle this is exactly [`run_scenario_once_with`]; with an
-/// enabled handle every switch port, host NIC and sender records into it.
-pub fn run_scenario_once_traced(
-    cfg: &ScenarioConfig,
-    transport: Transport,
-    queue: QueueKind,
-    depth: BufferDepth,
-    target_delay: SimDuration,
-    engine: Engine,
-    trace: simtrace::TraceHandle,
-) -> (RunMetrics, netsim::RunReport) {
-    let (m, report, _) =
-        run_scenario_once_full(cfg, transport, queue, depth, target_delay, engine, trace);
-    (m, report)
-}
-
-/// One repetition returning, in addition to the metrics and run report, the
-/// packet-pool allocation counters — the perf gate's alloc accounting. In
-/// reference mode the pool reports one heap allocation per insert (the seed
-/// Box-per-packet model); pooled mode reports only slab spill.
+/// One repetition returning, in addition to the metrics, the simulation's
+/// [`netsim::RunReport`] (event counts, peak pending events) and the
+/// packet-pool allocation counters — the perf gate's accounting. With an
+/// enabled `trace` handle (`--trace`) every switch port, host NIC and sender
+/// records its packet-lifecycle events into it.
 pub fn run_scenario_once_full(
     cfg: &ScenarioConfig,
     transport: Transport,
@@ -533,17 +500,10 @@ pub fn run_scenario_once_full(
     if let Some(tie_seed) = cfg.tie_seed {
         sim.tie_break = simevent::TieBreak::Permuted(tie_seed);
     }
-    let report = match (engine, cfg.shards) {
-        (Engine::Fast, Some(shards)) => sim.run_sharded(shards as usize),
-        (Engine::Fast, None) => sim.run(),
-        (Engine::Reference, shards) => {
-            assert!(
-                shards.is_none(),
-                "--shards requires the fast engine (reference is serial-only)"
-            );
-            sim.net.set_reference_mode(true);
-            sim.run_reference()
-        }
+    let Engine::Fast = engine;
+    let report = match cfg.shards {
+        Some(shards) => sim.run_sharded(shards as usize),
+        None => sim.run(),
     };
 
     let pool = sim.net.pool_stats();
@@ -687,27 +647,6 @@ mod tests {
         assert!(m.throughput_per_node_bps > 0.0);
         assert!(m.mean_latency_s > 0.0);
         assert_eq!(m.data_marked, 0, "droptail never marks");
-    }
-
-    #[test]
-    fn fast_and_reference_engines_agree() {
-        let cfg = ScenarioConfig::tiny();
-        let run = |engine| {
-            run_scenario_once_with(
-                &cfg,
-                Transport::TcpEcn,
-                QueueKind::Red(ProtectionMode::Default),
-                BufferDepth::Shallow,
-                SimDuration::from_micros(500),
-                engine,
-            )
-        };
-        let (fast, fast_report) = run(Engine::Fast);
-        let (reference, reference_report) = run(Engine::Reference);
-        assert_eq!(fast, reference, "engines must produce identical metrics");
-        // Cancellation removes spurious timer fires, so the fast engine
-        // processes no more events than the reference one.
-        assert!(fast_report.events <= reference_report.events);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 
 use ecn_core::ProtectionMode;
 use experiments::gate::{
-    BenchReport, CcSection, CcWorkload, EndToEndSection, LinkSection, PoolSection, ShardSection,
-    SweepSection,
+    BenchReport, CcSection, CcWorkload, LinkSection, PoolSection, ShardSection, SweepSection,
 };
 use experiments::scenario::{QueueKind, Transport};
 use experiments::{sweep_with, CacheMode, SweepGrid, SweepOptions};
@@ -188,31 +187,17 @@ fn fig2_bin_trace_executes_despite_warm_cache() {
 fn canned_report() -> BenchReport {
     BenchReport {
         description: "test report".into(),
-        end_to_end: EndToEndSection {
-            hosts: 32,
-            fast_seconds: 0.5,
-            reference_seconds: 1.5,
-            engine_speedup: 3.0,
-            fast_events: 1_800_000,
-            reference_events: 1_800_000,
-            fast_events_per_sec: 3.6e6,
-            reference_events_per_sec: 1.2e6,
-        },
         pool: PoolSection {
             packets: 1_400_000,
             pooled_heap_allocs: 160,
-            reference_heap_allocs: 1_400_000,
             pooled_allocs_per_packet: 160.0 / 1_400_000.0,
             pooled_inserts_per_sec: 3.5e6,
-            reference_inserts_per_sec: 1.1e6,
             high_water: 160,
         },
         link: LinkSection {
             packets: 1_400_000,
             fast_events: 1_800_000,
             fast_events_per_packet: 1.25,
-            reference_events: 1_800_000,
-            reference_events_per_packet: 1.25,
         },
         cc: CcSection {
             ops: 1_000_000,
@@ -227,17 +212,12 @@ fn canned_report() -> BenchReport {
         },
         sweep_fig2_shallow: SweepSection {
             points: 19,
-            reference_seconds: 2.0,
             fast_seconds: 1.0,
             parallel_seconds: 0.5,
-            engine_speedup: 2.0,
             parallel_speedup: 2.0,
             fast_events_per_sec: 1.0e6,
-            reference_events_per_sec: 0.5e6,
             outputs_identical: true,
-            reference_events: 1_000_000,
             fast_events: 1_000_000,
-            reference_peak_pending: 500,
             fast_peak_pending: 500,
         },
         cores: 1,
@@ -298,7 +278,6 @@ fn bench_gate_fails_against_inflated_baseline() {
 
     let mut inflated = canned_report();
     inflated.sweep_fig2_shallow.fast_seconds /= 1.4;
-    inflated.end_to_end.engine_speedup *= 1.5;
     inflated.shard.speedup *= 1.5;
     write_report(&baseline_path, &inflated);
 

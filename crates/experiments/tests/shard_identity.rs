@@ -9,8 +9,7 @@
 
 use ecn_core::ProtectionMode;
 use experiments::scenario::{
-    run_scenario_once_traced, BufferDepth, Engine, QueueKind, ScenarioConfig, TopologyKind,
-    Transport,
+    run_scenario_once_full, BufferDepth, Engine, QueueKind, ScenarioConfig, TopologyKind, Transport,
 };
 use proptest::prelude::*;
 use simevent::SimDuration;
@@ -44,7 +43,7 @@ fn run_point(
     let mut cfg = shard_config(topology, seed, cc);
     cfg.shards = Some(shards);
     let trace = TraceHandle::new(Box::new(RingSink::new(1 << 16)));
-    let (m, _report) = run_scenario_once_traced(
+    let (m, _, _) = run_scenario_once_full(
         &cfg,
         transport,
         queue,

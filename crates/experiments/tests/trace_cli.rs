@@ -4,7 +4,7 @@
 
 use experiments::cli::parse_trace_filter;
 use experiments::scenario::{
-    run_scenario_once, run_scenario_once_traced, BufferDepth, Engine, QueueKind, ScenarioConfig,
+    run_scenario_once, run_scenario_once_full, BufferDepth, Engine, QueueKind, ScenarioConfig,
     Transport,
 };
 use simevent::SimDuration;
@@ -38,7 +38,7 @@ impl Write for SharedBuf {
 }
 
 fn point(cfg: &ScenarioConfig, trace: TraceHandle) -> experiments::scenario::RunMetrics {
-    run_scenario_once_traced(
+    run_scenario_once_full(
         cfg,
         Transport::Dctcp,
         QueueKind::Red(ecn_core::ProtectionMode::Default),

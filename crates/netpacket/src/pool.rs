@@ -18,15 +18,6 @@
 //! [`PoolStats::inserts`] counts emitted packets plus shard crossings and
 //! [`PoolStats::high_water`] includes queued packets.
 //!
-//! # Reference mode
-//!
-//! [`PacketPool::set_reference_mode`] switches the slot storage to one
-//! `Box<Packet>` per insert — the seed's allocation model of a heap packet
-//! per emission. Handles, lookup semantics and simulation results are
-//! bit-identical in both modes; only the allocator traffic differs, which is
-//! exactly what the perf report's `alloc/sec` metric and the debug-build
-//! allocation counter measure.
-//!
 //! # Generation checks
 //!
 //! Each slot carries a generation stamped into the handles it issues; the
@@ -48,34 +39,25 @@ pub struct PacketRef {
     gen: u32,
 }
 
-/// Slot storage: inline in pooled mode, boxed in reference mode.
-#[derive(Debug)]
-enum Storage {
-    /// Vacant slot (on the free list).
-    Empty,
-    /// Pooled mode: the packet lives inline in the slab.
-    Inline(Packet),
-    /// Reference mode: one heap allocation per resident packet (seed model).
-    Boxed(Box<Packet>),
-}
-
 #[derive(Debug)]
 struct Slot {
     /// Advances every time the slot is vacated; handles embed the generation
     /// current at insert time.
     gen: u32,
-    storage: Storage,
+    /// The resident packet, inline in the slab; `None` while the slot is on
+    /// the free list.
+    packet: Option<Packet>,
 }
 
-/// Cumulative allocation statistics, for the perf report's `alloc/sec`
-/// metric and the debug-build allocation-counter test.
+/// Cumulative allocation statistics, for the perf report's
+/// allocations-per-packet gate and the debug-build allocation-counter test.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolStats {
     /// Packets ever inserted: one per emitted packet, plus one per shard
     /// crossing in the sharded engine.
     pub inserts: u64,
-    /// Inserts that performed a heap allocation: slab growth in pooled mode,
-    /// every insert in reference mode.
+    /// Inserts that performed a heap allocation: one per slab growth, none
+    /// once the slab reaches the live high-water mark.
     pub heap_allocs: u64,
     /// High-water mark of simultaneously live packets, queued ones included.
     pub high_water: u32,
@@ -91,12 +73,11 @@ pub struct PacketPool {
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: u32,
-    reference_mode: bool,
     stats: PoolStats,
 }
 
 impl PacketPool {
-    /// An empty pool in pooled (zero-steady-state-alloc) mode.
+    /// An empty pool.
     pub fn new() -> Self {
         PacketPool::default()
     }
@@ -110,55 +91,30 @@ impl PacketPool {
         }
     }
 
-    /// Switch the storage model (see the [module docs](self)). Only valid
-    /// while the pool is empty: flipping mid-flight would mix slot layouts.
-    pub fn set_reference_mode(&mut self, on: bool) {
-        assert_eq!(
-            self.live, 0,
-            "cannot switch pool mode with {} packets live",
-            self.live
-        );
-        self.reference_mode = on;
-    }
-
-    /// True when inserts allocate per packet (seed model).
-    pub fn reference_mode(&self) -> bool {
-        self.reference_mode
-    }
-
     /// Move `packet` into the pool, returning its handle.
     pub fn insert(&mut self, packet: Packet) -> PacketRef {
         self.stats.inserts += 1;
-        let storage = if self.reference_mode {
-            self.stats.heap_allocs += 1;
-            Storage::Boxed(Box::new(packet))
-        } else {
-            Storage::Inline(packet)
-        };
         let idx = match self.free.pop() {
-            Some(idx) => {
-                let slot = &mut self.slots[idx as usize];
-                debug_assert!(matches!(slot.storage, Storage::Empty));
-                slot.storage = storage;
-                idx
-            }
+            Some(idx) => idx,
             None => {
-                // Slab growth: the only pooled-mode allocation, and it stops
-                // once the slab reaches the live high-water mark.
-                if !self.reference_mode {
-                    self.stats.heap_allocs += 1;
-                }
+                // Slab growth: the pool's only allocation, and it stops once
+                // the slab reaches the live high-water mark.
+                self.stats.heap_allocs += 1;
                 let idx = u32::try_from(self.slots.len()).expect("pool slab exceeds u32 slots");
-                self.slots.push(Slot { gen: 0, storage });
+                self.slots.push(Slot {
+                    gen: 0,
+                    packet: None,
+                });
                 idx
             }
         };
+        let slot = &mut self.slots[idx as usize];
+        debug_assert!(slot.packet.is_none());
+        slot.packet = Some(packet);
+        let gen = slot.gen;
         self.live += 1;
         self.stats.high_water = self.stats.high_water.max(self.live);
-        PacketRef {
-            idx,
-            gen: self.slots[idx as usize].gen,
-        }
+        PacketRef { idx, gen }
     }
 
     #[inline]
@@ -175,10 +131,9 @@ impl PacketPool {
     /// Read the packet behind a live handle.
     #[inline]
     pub fn get(&self, r: PacketRef) -> &Packet {
-        match &self.slot(r).storage {
-            Storage::Inline(p) => p,
-            Storage::Boxed(p) => p,
-            Storage::Empty => unreachable!("generation check admits no empty slot"),
+        match &self.slot(r).packet {
+            Some(p) => p,
+            None => unreachable!("generation check admits no empty slot"),
         }
     }
 
@@ -191,10 +146,9 @@ impl PacketPool {
             "stale PacketRef: slot {} was recycled (gen {} != handle gen {})",
             r.idx, slot.gen, r.gen
         );
-        match &mut slot.storage {
-            Storage::Inline(p) => p,
-            Storage::Boxed(p) => p,
-            Storage::Empty => unreachable!("generation check admits no empty slot"),
+        match &mut slot.packet {
+            Some(p) => p,
+            None => unreachable!("generation check admits no empty slot"),
         }
     }
 
@@ -208,10 +162,8 @@ impl PacketPool {
             "stale PacketRef: slot {} was recycled (gen {} != handle gen {})",
             r.idx, slot.gen, r.gen
         );
-        let packet = match std::mem::replace(&mut slot.storage, Storage::Empty) {
-            Storage::Inline(p) => p,
-            Storage::Boxed(p) => *p,
-            Storage::Empty => unreachable!("generation check admits no empty slot"),
+        let Some(packet) = slot.packet.take() else {
+            unreachable!("generation check admits no empty slot")
         };
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(r.idx);
@@ -244,7 +196,7 @@ impl PacketPool {
     /// vacancies stay on the free list.
     pub fn shrink_to_fit(&mut self) {
         while let Some(slot) = self.slots.last() {
-            if matches!(slot.storage, Storage::Empty) {
+            if slot.packet.is_none() {
                 let idx = (self.slots.len() - 1) as u32;
                 // O(free) per pop is fine: shrink runs between bursts.
                 self.free.retain(|&f| f != idx);
@@ -309,24 +261,8 @@ mod tests {
         }
         assert_eq!(pool.slots(), grown, "steady state must reuse slots");
         assert_eq!(pool.stats().high_water, 4);
-        // Pooled-mode heap allocs == slab growth events only.
+        // Heap allocs == slab growth events only.
         assert_eq!(pool.stats().heap_allocs, grown as u64);
-    }
-
-    #[test]
-    fn reference_mode_allocates_per_insert() {
-        let mut pool = PacketPool::new();
-        pool.set_reference_mode(true);
-        for i in 0..100 {
-            let r = pool.insert(pkt(i));
-            assert_eq!(pool.get(r).id, PacketId(i));
-            pool.take(r);
-        }
-        assert_eq!(
-            pool.stats().heap_allocs,
-            100,
-            "reference mode boxes every packet"
-        );
     }
 
     #[test]
@@ -358,14 +294,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot switch pool mode")]
-    fn mode_switch_requires_empty_pool() {
-        let mut pool = PacketPool::new();
-        let _r = pool.insert(pkt(1));
-        pool.set_reference_mode(true);
-    }
-
-    #[test]
     fn shrink_drops_vacant_tail_slots() {
         let mut pool = PacketPool::new();
         let refs: Vec<PacketRef> = (0..64).map(|i| pool.insert(pkt(i))).collect();
@@ -380,16 +308,5 @@ mod tests {
         // The pool keeps working after a shrink.
         let r2 = pool.insert(pkt(99));
         assert_eq!(pool.get(r2).id, PacketId(99));
-    }
-
-    #[test]
-    fn modes_agree_on_contents() {
-        let drive = |reference: bool| -> Vec<u64> {
-            let mut pool = PacketPool::new();
-            pool.set_reference_mode(reference);
-            let refs: Vec<PacketRef> = (0..32).map(|i| pool.insert(pkt(i))).collect();
-            refs.iter().rev().map(|&r| pool.take(r).id.0).collect()
-        };
-        assert_eq!(drive(false), drive(true));
     }
 }

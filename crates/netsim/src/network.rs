@@ -11,7 +11,7 @@ use simevent::{SimDuration, SimTime};
 use simmetrics::{LatencyHistogram, QueueSample, QueueTrace, ThroughputMeter};
 use simtrace::{EventKind, TraceEvent, TraceHandle};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use tcpstack::{Receiver, Sender, TcpAgent, TcpConfig};
 
 /// Addresses a device in the simulated cluster.
@@ -83,9 +83,8 @@ pub enum Event {
 /// The transmitter is batched: it tracks only `busy_until`/`wakeup_armed`.
 /// The departing packet's `Arrive` is scheduled at transmission start (its
 /// arrival instant is already known), and a `PortFree` wakeup is armed only
-/// while the queue is contended. Both simulation modes share this machine —
-/// [`Network::set_reference_mode`] toggles the allocation model and the
-/// per-packet bookkeeping algorithms, not the link-layer event scheme.
+/// while the queue is contended. The classic loop and the windowed engine
+/// share this machine.
 struct Port {
     qdisc: Box<dyn QueueDiscipline + Send>,
     link: LinkSpec,
@@ -147,10 +146,6 @@ struct Host {
     ep_flow: Vec<FlowId>,
     /// Endpoint column, parallel to `ep_flow`.
     eps: Vec<Endpoint>,
-    /// Flow → endpoint slot, the seed implementation's lookup structure.
-    /// Maintained for [`Network::set_reference_mode`]; the fast path never
-    /// reads it.
-    by_flow: BTreeMap<FlowId, u32>,
     /// Lazy min-heap of `(deadline, endpoint slot)` candidates. An entry is
     /// pushed every time an endpoint is driven and reports a deadline; stale
     /// entries (the endpoint's deadline has since moved or cleared) are
@@ -361,7 +356,6 @@ pub struct Network {
     /// merge a sharded engine performs on its inbound channels.
     pending: Vec<(SimTime, u16, Event)>,
     /// The packet arena every [`Event::Arrive`] and port queue indexes into.
-    /// In reference mode its storage is one `Box` per packet (seed model).
     pool: PacketPool,
     /// Scratch buffer reused by [`Network::flush_host`] so the per-packet hot
     /// path does not allocate.
@@ -369,10 +363,6 @@ pub struct Network {
     /// Scratch buffer reused by [`Network::host_timers`] for the matured
     /// endpoint set — the seed allocated a fresh `Vec` per timer event.
     due_buf: Vec<u32>,
-    /// When set, per-packet processing uses the seed implementation's
-    /// algorithms (map lookups, full-endpoint-scan flushes). See
-    /// [`Network::set_reference_mode`].
-    reference_mode: bool,
     completed: Vec<FlowId>,
     latency_all: LatencyHistogram,
     latency_data: LatencyHistogram,
@@ -499,7 +489,6 @@ fn build_two_tier(spec: &ClusterSpec) -> (Vec<Host>, Vec<Switch>) {
             },
             ep_flow: Vec::new(),
             eps: Vec::new(),
-            by_flow: BTreeMap::new(),
             deadlines: BinaryHeap::new(),
             timer_scheduled: None,
         });
@@ -609,7 +598,6 @@ fn build_fat_tree(spec: &FatTreeSpec) -> (Vec<Host>, Vec<Switch>) {
             },
             ep_flow: Vec::new(),
             eps: Vec::new(),
-            by_flow: BTreeMap::new(),
             deadlines: BinaryHeap::new(),
             timer_scheduled: None,
         });
@@ -710,7 +698,6 @@ impl Network {
             pool: PacketPool::new(),
             flush_buf: Vec::new(),
             due_buf: Vec::new(),
-            reference_mode: false,
             completed: Vec::new(),
             latency_all: LatencyHistogram::new(),
             latency_data: LatencyHistogram::new(),
@@ -867,7 +854,6 @@ impl Network {
         let rx_idx = dst_h.eps.len() as u32;
         dst_h.ep_flow.push(flow);
         dst_h.eps.push(Endpoint::Rx(receiver));
-        dst_h.by_flow.insert(flow, rx_idx);
         // Keep the deadline-heap invariant without flushing the receiving
         // host (the original code did not flush it either).
         if let Some(d) = dst_h.eps[rx_idx as usize].next_deadline() {
@@ -878,7 +864,6 @@ impl Network {
         let tx_idx = src_h.eps.len() as u32;
         src_h.ep_flow.push(flow);
         src_h.eps.push(Endpoint::Tx(sender));
-        src_h.by_flow.insert(flow, tx_idx);
 
         self.flow_slots.push(FlowSlot {
             src_host: src.0,
@@ -989,28 +974,28 @@ impl Network {
         }
 
         // O(1) endpoint lookup: flow id -> slab slot -> endpoint index.
-        // (Reference mode keeps the seed's per-packet map lookup instead.)
-        let idx = if self.reference_mode {
-            self.hosts[h].by_flow.get(&packet.flow).copied()
-        } else {
-            flow_index(packet.flow)
-                .and_then(|i| self.flow_slots.get(i))
-                .and_then(|slot| {
-                    if slot.dst_host == h as u32 {
-                        Some(slot.rx_idx)
-                    } else if slot.src_host == h as u32 {
-                        Some(slot.tx_idx)
-                    } else {
-                        None
-                    }
-                })
-        };
+        let idx = flow_index(packet.flow)
+            .and_then(|i| self.flow_slots.get(i))
+            .and_then(|slot| {
+                if slot.dst_host == h as u32 {
+                    Some(slot.rx_idx)
+                } else if slot.src_host == h as u32 {
+                    Some(slot.tx_idx)
+                } else {
+                    None
+                }
+            });
         let Some(idx) = idx else {
             self.orphan_packets += 1;
             return;
         };
         let hi = self.hidx(h);
-        let ep = &mut self.hosts[hi].eps[idx as usize];
+        let host = &mut self.hosts[hi];
+        debug_assert_eq!(
+            host.ep_flow[idx as usize], packet.flow,
+            "flow slot resolved host {h} slot {idx} to another flow's endpoint"
+        );
+        let ep = &mut host.eps[idx as usize];
         let goodput_before = match ep {
             Endpoint::Rx(rx) => Some(rx.bytes_received()),
             Endpoint::Tx(_) => None,
@@ -1042,10 +1027,6 @@ impl Network {
     }
 
     fn host_timers(&mut self, h: usize, now: SimTime) {
-        if self.reference_mode {
-            self.host_timers_reference(h, now);
-            return;
-        }
         // Reuse the scratch buffer across timer events (the seed allocated a
         // fresh `Vec` here every time).
         let mut due = std::mem::take(&mut self.due_buf);
@@ -1057,7 +1038,7 @@ impl Network {
         // each candidate endpoint's actual deadline is re-checked. Any
         // endpoint that is genuinely due has a matured entry here (the heap
         // always holds an entry at the current deadline), so this finds the
-        // same set the original full endpoint scan did.
+        // same set a full endpoint scan would; debug builds check that below.
         while let Some(&Reverse((d, idx))) = host.deadlines.peek() {
             if d > now {
                 break;
@@ -1068,9 +1049,18 @@ impl Network {
                 due.push(idx);
             }
         }
-        // Slot order equals FlowId order, matching the original firing order.
+        // Slot order equals FlowId order, so endpoints fire in flow order.
         due.sort_unstable();
         due.dedup();
+        debug_assert_eq!(
+            due,
+            (0..host.eps.len() as u32)
+                .filter(|&i| host.eps[i as usize]
+                    .next_deadline()
+                    .is_some_and(|d| d <= now))
+                .collect::<Vec<_>>(),
+            "deadline heap and endpoint scan disagree on host {h}'s due set at {now:?}"
+        );
         for &idx in &due {
             host.eps[idx as usize].agent().on_timer(now);
         }
@@ -1123,13 +1113,9 @@ impl Network {
     /// ascending slot order). Untouched endpoints were drained when *they*
     /// were last driven, and enqueueing to the NIC never feeds an endpoint,
     /// so restricting the flush to the touched slots is behaviour-identical
-    /// to the original drain-everything loop — without the O(endpoints) scan
-    /// on every delivered packet.
+    /// to draining every endpoint — without the O(endpoints) scan on every
+    /// delivered packet.
     fn flush_host(&mut self, h: usize, now: SimTime, touched: &[u32]) {
-        if self.reference_mode {
-            self.flush_host_reference(h, now);
-            return;
-        }
         let hi = self.hidx(h);
         let Network {
             hosts,
@@ -1169,7 +1155,7 @@ impl Network {
         // Re-arm the host timer from the lazy deadline heap: discard stale
         // entries until the head matches its endpoint's actual deadline. That
         // head is the true minimum over all endpoints (every current deadline
-        // has an entry).
+        // has an entry); debug builds check it against a full scan.
         let next = loop {
             let Some(&Reverse((d, idx))) = host.deadlines.peek() else {
                 break None;
@@ -1179,104 +1165,16 @@ impl Network {
             }
             host.deadlines.pop();
         };
+        debug_assert_eq!(
+            next,
+            host.eps.iter().filter_map(Endpoint::next_deadline).min(),
+            "deadline heap head is not the minimum endpoint deadline on host {h}"
+        );
         if let Some(d) = next {
             let d = d.max(now);
             if host.timer_scheduled.is_none_or(|t| d < t) {
                 host.timer_scheduled = Some(d);
                 pending.push((d, dev_lane(DevRef::Host(h)), Event::HostTimers { host: h }));
-            }
-        }
-    }
-
-    // ----- reference (seed) per-packet path ---------------------------------
-
-    /// Switch per-packet processing to the seed implementation's algorithms:
-    /// `BTreeMap` endpoint lookups, drain-every-endpoint flushes with a fresh
-    /// allocation per flush, and full-scan timer re-arms. Kept as the
-    /// measured "before" of `bench_gate`'s `end_to_end` section; both modes
-    /// produce identical simulation results.
-    pub fn set_reference_mode(&mut self, on: bool) {
-        self.reference_mode = on;
-        // The seed also boxed every packet individually; mirror that in the
-        // pool's storage so the allocation model matches the algorithms.
-        self.pool.set_reference_mode(on);
-    }
-
-    /// Seed implementation of [`Network::host_timers`]: scan every endpoint
-    /// for matured deadlines.
-    fn host_timers_reference(&mut self, h: usize, now: SimTime) {
-        self.hosts[h].timer_scheduled = None;
-        let host = &self.hosts[h];
-        let due: Vec<FlowId> = host
-            .eps
-            .iter()
-            .zip(host.ep_flow.iter())
-            .filter(|(ep, _)| ep.next_deadline().is_some_and(|d| d <= now))
-            .map(|(_, &f)| f)
-            .collect();
-        for f in due {
-            if let Some(&idx) = self.hosts[h].by_flow.get(&f) {
-                self.hosts[h].eps[idx as usize].agent().on_timer(now);
-            }
-        }
-        self.flush_host_reference(h, now);
-    }
-
-    /// Seed implementation of [`Network::flush_host`]: drain every endpoint's
-    /// outbox (allocating per pass), scan every sender for completion, and
-    /// re-arm from a full min-scan over all endpoint deadlines.
-    fn flush_host_reference(&mut self, h: usize, now: SimTime) {
-        loop {
-            let host = &mut self.hosts[h];
-            let mut out: Vec<Packet> = Vec::new();
-            for ep in &mut host.eps {
-                out.append(&mut ep.agent().take_outbox());
-            }
-            if out.is_empty() {
-                break;
-            }
-            for pkt in out {
-                let r = self.pool.insert(pkt);
-                let _ = enqueue_and_kick(
-                    &mut self.hosts[h].nic,
-                    DevRef::Host(h),
-                    0,
-                    r,
-                    now,
-                    &mut self.pending,
-                    &mut self.pool,
-                );
-            }
-        }
-        // Completion checks for senders on this host.
-        let host = &self.hosts[h];
-        let mut newly_done = Vec::new();
-        for (ep, &flow) in host.eps.iter().zip(host.ep_flow.iter()) {
-            if let Endpoint::Tx(s) = ep {
-                if s.is_complete() {
-                    if let Some(rec) = flow_index(flow).and_then(|i| self.flows.get(i)) {
-                        if rec.completed.is_none() {
-                            newly_done.push((flow, s.completed_at().unwrap_or(now)));
-                        }
-                    }
-                }
-            }
-        }
-        for (f, at) in newly_done {
-            if let Some(rec) = flow_index(f).and_then(|i| self.flows.get_mut(i)) {
-                rec.completed = Some(at);
-            }
-            self.completed.push(f);
-        }
-        // Re-arm the host timer from a full scan.
-        let host = &mut self.hosts[h];
-        let next = host.eps.iter().filter_map(|ep| ep.next_deadline()).min();
-        if let Some(d) = next {
-            let d = d.max(now);
-            if host.timer_scheduled.is_none_or(|t| d < t) {
-                host.timer_scheduled = Some(d);
-                self.pending
-                    .push((d, dev_lane(DevRef::Host(h)), Event::HostTimers { host: h }));
             }
         }
     }
@@ -1308,7 +1206,6 @@ impl Network {
             self.trace.is_none(),
             "queue-depth sampling is serial-only; disable it for sharded runs"
         );
-        assert!(!self.reference_mode, "sharded runs require the fast engine");
         assert!(self.host_map.is_empty(), "cannot split a shard slice");
         assert_eq!(host_shard.len(), self.hosts.len());
         assert_eq!(sw_shard.len(), self.switches.len());
@@ -1336,7 +1233,6 @@ impl Network {
                 pool: PacketPool::new(),
                 flush_buf: Vec::new(),
                 due_buf: Vec::new(),
-                reference_mode: false,
                 completed: Vec::new(),
                 latency_all: LatencyHistogram::new(),
                 latency_data: LatencyHistogram::new(),
@@ -1498,7 +1394,6 @@ impl Network {
             let rx_idx = dst_h.eps.len() as u32;
             dst_h.ep_flow.push(d.flow);
             dst_h.eps.push(Endpoint::Rx(receiver));
-            dst_h.by_flow.insert(d.flow, rx_idx);
             if let Some(dl) = dst_h.eps[rx_idx as usize].next_deadline() {
                 dst_h.deadlines.push(Reverse((dl, rx_idx)));
             }
@@ -1513,7 +1408,6 @@ impl Network {
             let tx_idx = src_h.eps.len() as u32;
             src_h.ep_flow.push(d.flow);
             src_h.eps.push(Endpoint::Tx(sender));
-            src_h.by_flow.insert(d.flow, tx_idx);
             slot.tx_idx = tx_idx;
         }
         self.flow_slots.push(slot);

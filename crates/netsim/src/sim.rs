@@ -203,65 +203,6 @@ impl<A: Application> Simulation<A> {
             delivered: net.latency().count(),
         }
     }
-
-    /// The seed implementation's event loop, kept as the measured "before"
-    /// of `bench_gate`'s engine comparison: a fresh pending-buffer
-    /// allocation per event, and no `HostTimers` cancellation (superseded
-    /// timer events fire spuriously). Pair with
-    /// [`Network::set_reference_mode`] for a faithful end-to-end reference.
-    /// Simulation results are identical to [`Simulation::run`]; only the
-    /// event count can differ (spurious timer fires).
-    pub fn run_reference(&mut self) -> RunReport {
-        let mut sched: Scheduler<Event> = Scheduler::new(SchedulerConfig {
-            time_limit: self.time_limit,
-            event_limit: u64::MAX,
-            tie_break: self.tie_break,
-        });
-        let net = &mut self.net;
-        let app = &mut self.app;
-
-        app.on_start(net, SimTime::ZERO);
-        for (t, src, e) in net.take_pending() {
-            let lane = event_tie_lane(src, &e);
-            sched.schedule_at_in_lane(t, lane, e);
-        }
-        if app.done(net) {
-            return RunReport {
-                outcome: RunOutcome::Stopped,
-                events: 0,
-                end_time: SimTime::ZERO,
-                flows_completed: net.completed_flows(),
-                app_done: true,
-                peak_pending: sched.peak_pending(),
-                delivered: net.latency().count(),
-            };
-        }
-
-        let (outcome, stats) = sched.run(|sched, now, ev| {
-            match ev {
-                Event::AppTimer { token } => app.on_timer(token, net, now),
-                other => net.handle(other, now),
-            }
-            for f in net.take_completed() {
-                app.on_flow_complete(f, net, now);
-            }
-            for (t, src, e) in net.take_pending() {
-                let lane = event_tie_lane(src, &e);
-                sched.schedule_at_in_lane(t.max(now), lane, e);
-            }
-            !app.done(net)
-        });
-
-        RunReport {
-            outcome,
-            events: stats.events_processed,
-            end_time: stats.end_time,
-            flows_completed: net.completed_flows(),
-            app_done: app.done(net),
-            peak_pending: sched.peak_pending(),
-            delivered: net.latency().count(),
-        }
-    }
 }
 
 /// The simplest application: a fixed list of flows, each started at a given

@@ -763,8 +763,7 @@ pub fn check_file(path: &str, tokens: &[Token]) -> Vec<Finding> {
                             "SL006",
                             format!(
                                 "`Box::new({what})` heap-allocates per packet: route \
-                                 packet storage through PacketPool (the pool's \
-                                 reference mode is the only sanctioned per-packet Box)"
+                                 packet storage through PacketPool"
                             ),
                         );
                     }

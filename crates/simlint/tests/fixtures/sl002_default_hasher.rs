@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet}; // use-lines are exempt
 
 pub struct Bad {
-    by_flow: HashMap<u64, u64>,     // SL002: default hasher
+    per_flow: HashMap<u64, u64>,    // SL002: default hasher
     seen: HashSet<u64>,             // SL002: default hasher
 }
 
