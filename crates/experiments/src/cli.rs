@@ -192,7 +192,8 @@ fn parse_filter_or_die(spec: &str) -> TraceFilter {
     }
 }
 
-/// Parse `--topology` syntax: `two-tier` or `fat-tree:K` (even arity ≥ 2).
+/// Parse `--topology` syntax: `two-tier` or `fat-tree:K` (even arity ≥ 2,
+/// at most [`netsim::MAX_DEVICES_PER_KIND`] hosts, so K ≤ 50).
 pub fn parse_topology(v: &str) -> Result<TopologyKind, String> {
     if v == "two-tier" {
         return Ok(TopologyKind::TwoTier);
@@ -203,6 +204,13 @@ pub fn parse_topology(v: &str) -> Result<TopologyKind, String> {
             .map_err(|_| format!("fat-tree arity must be an integer, got {kstr:?}"))?;
         if k < 2 || k % 2 != 0 {
             return Err(format!("fat-tree arity must be even and >= 2, got {k}"));
+        }
+        let hosts = u128::from(k).pow(3) / 4;
+        if hosts > u128::from(netsim::MAX_DEVICES_PER_KIND) {
+            return Err(format!(
+                "fat-tree:{k} has {hosts} hosts, more than the {} supported",
+                netsim::MAX_DEVICES_PER_KIND
+            ));
         }
         return Ok(TopologyKind::FatTree { k });
     }
@@ -434,6 +442,18 @@ mod tests {
         assert!(parse_trace_filter("flow=x").is_err());
         assert!(parse_trace_filter("kind=bogus").is_err());
         assert!(parse_trace_filter("queue=1").is_err());
+    }
+
+    #[test]
+    fn topology_arity_is_bounded_by_the_lane_range() {
+        assert_eq!(
+            parse_topology("fat-tree:50"),
+            Ok(TopologyKind::FatTree { k: 50 })
+        );
+        let err = parse_topology("fat-tree:52").unwrap_err();
+        assert!(err.contains("35152 hosts"), "{err}");
+        assert!(parse_topology("fat-tree:4000000").is_err());
+        assert!(parse_topology("fat-tree:3").is_err());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub use apps::{jain_fairness, LatencyProbes, PairApp};
 pub use link::LinkSpec;
 pub use network::{DevRef, Event, FlowRecord, Network, PortStatsReport};
 pub use sim::{Application, RunReport, Simulation, StaticFlows};
-pub use topology::{ClusterSpec, FatTreeSpec, Topology};
+pub use topology::{ClusterSpec, FatTreeSpec, Topology, MAX_DEVICES_PER_KIND};
 
 // The sweep orchestrator (experiments::simsweep) evaluates independent
 // scenario points on a worker pool, which requires entire simulations —

@@ -18,20 +18,27 @@ use tcpstack::{Receiver, Sender, TcpAgent, TcpConfig};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DevRef {
     /// End host by index (== `NodeId`).
-    Host(usize),
+    Host(u32),
     /// Switch by index: `0..racks` are ToRs, index `racks` is the core.
-    Switch(usize),
+    Switch(u32),
 }
 
 /// The tie-break lane of a device: the entity a sharded engine would own.
 /// Hosts take even lanes, switches odd; two reserved lanes at the top of the
 /// `u16` range cover the non-device producers (application, sampler).
+/// Topology validation caps hosts and switches at
+/// [`crate::MAX_DEVICES_PER_KIND`] each, so every device lane fits below the
+/// reserved ones.
 #[inline]
 pub(crate) fn dev_lane(dev: DevRef) -> u16 {
-    match dev {
-        DevRef::Host(i) => 2 * i as u16,
-        DevRef::Switch(i) => 2 * i as u16 + 1,
-    }
+    let lane = match dev {
+        DevRef::Host(i) => 2 * i,
+        DevRef::Switch(i) => 2 * i + 1,
+    };
+    u16::try_from(lane)
+        .ok()
+        .filter(|&l| l < SAMPLE_LANE)
+        .expect("device index exceeds the tie-break lane range")
 }
 
 /// Reserved lane for application-scheduled timers ([`Event::AppTimer`]).
@@ -41,8 +48,9 @@ pub(crate) const SAMPLE_LANE: u16 = 0xFFFE;
 
 /// Simulation events.
 ///
-/// Events carry [`PacketRef`] pool handles, not packets: a `ScheduledEvent`
-/// is ~16 bytes, so event-queue heap sifts stop memcpying ~120-byte packet
+/// Events carry [`PacketRef`] pool handles and `u32` device indices, not
+/// packets: an `Event` is 16 bytes and its `ScheduledEvent` 32 (a unit test
+/// pins both), so event-queue heap sifts stop memcpying ~120-byte packet
 /// structs around.
 #[derive(Debug)]
 pub enum Event {
@@ -62,12 +70,12 @@ pub enum Event {
         /// Transmitting device.
         dev: DevRef,
         /// Port index on that device (hosts have a single NIC, port 0).
-        port: usize,
+        port: u32,
     },
     /// Check TCP timers on one host.
     HostTimers {
         /// Host index.
-        host: usize,
+        host: u32,
     },
     /// Wakes the [`crate::Application`] (handled by the sim loop, not here).
     AppTimer {
@@ -403,7 +411,7 @@ struct TraceState {
 fn start_tx_batched(
     port: &mut Port,
     dev: DevRef,
-    idx: usize,
+    idx: u32,
     now: SimTime,
     pending: &mut Vec<(SimTime, u16, Event)>,
     pool: &mut PacketPool,
@@ -435,7 +443,7 @@ fn start_tx_batched(
 fn enqueue_and_kick(
     port: &mut Port,
     dev: DevRef,
-    idx: usize,
+    idx: u32,
     packet: PacketRef,
     now: SimTime,
     pending: &mut Vec<(SimTime, u16, Event)>,
@@ -483,7 +491,7 @@ fn build_two_tier(spec: &ClusterSpec) -> (Vec<Host>, Vec<Switch>) {
             nic: Port {
                 qdisc: Box::new(DropTail::new(spec.host_buffer_packets)),
                 link: spec.host_link,
-                peer: DevRef::Switch(spec.rack_of(h as u32) as usize),
+                peer: DevRef::Switch(spec.rack_of(h as u32)),
                 busy_until: SimTime::ZERO,
                 wakeup_armed: false,
             },
@@ -512,7 +520,7 @@ fn build_two_tier(spec: &ClusterSpec) -> (Vec<Host>, Vec<Switch>) {
             ports.push(Port {
                 qdisc: build_qdisc(&spec.switch_qdisc, next_seed()),
                 link: spec.host_link,
-                peer: DevRef::Host(h),
+                peer: DevRef::Host(h as u32),
                 busy_until: SimTime::ZERO,
                 wakeup_armed: false,
             });
@@ -522,7 +530,7 @@ fn build_two_tier(spec: &ClusterSpec) -> (Vec<Host>, Vec<Switch>) {
             ports.push(Port {
                 qdisc: build_qdisc(&spec.switch_qdisc, next_seed()),
                 link: spec.uplink,
-                peer: DevRef::Switch(racks), // core
+                peer: DevRef::Switch(spec.racks), // core
                 busy_until: SimTime::ZERO,
                 wakeup_armed: false,
             });
@@ -547,7 +555,7 @@ fn build_two_tier(spec: &ClusterSpec) -> (Vec<Host>, Vec<Switch>) {
             ports.push(Port {
                 qdisc: build_qdisc(&spec.switch_qdisc, next_seed()),
                 link: spec.uplink,
-                peer: DevRef::Switch(r),
+                peer: DevRef::Switch(r as u32),
                 busy_until: SimTime::ZERO,
                 wakeup_armed: false,
             });
@@ -592,7 +600,7 @@ fn build_fat_tree(spec: &FatTreeSpec) -> (Vec<Host>, Vec<Switch>) {
             nic: Port {
                 qdisc: Box::new(DropTail::new(spec.host_buffer_packets)),
                 link: spec.host_link,
-                peer: DevRef::Switch(edge_of(h)),
+                peer: DevRef::Switch(edge_of(h) as u32),
                 busy_until: SimTime::ZERO,
                 wakeup_armed: false,
             },
@@ -618,11 +626,11 @@ fn build_fat_tree(spec: &FatTreeSpec) -> (Vec<Host>, Vec<Switch>) {
         for e in 0..half {
             let mut ports = Vec::with_capacity(k);
             for dp in 0..half {
-                let h = p * hosts_per_pod + e * half + dp;
+                let h = (p * hosts_per_pod + e * half + dp) as u32;
                 ports.push(port(spec.host_link, DevRef::Host(h), &mut next_seed));
             }
             for u in 0..half {
-                let agg = p * k + half + u;
+                let agg = (p * k + half + u) as u32;
                 ports.push(port(spec.uplink, DevRef::Switch(agg), &mut next_seed));
             }
             let id = (p * k + e) as u32;
@@ -635,11 +643,11 @@ fn build_fat_tree(spec: &FatTreeSpec) -> (Vec<Host>, Vec<Switch>) {
         for a in 0..half {
             let mut ports = Vec::with_capacity(k);
             for e in 0..half {
-                let edge = p * k + e;
+                let edge = (p * k + e) as u32;
                 ports.push(port(spec.uplink, DevRef::Switch(edge), &mut next_seed));
             }
             for u in 0..half {
-                let core = k * k + a * half + u;
+                let core = (k * k + a * half + u) as u32;
                 ports.push(port(spec.uplink, DevRef::Switch(core), &mut next_seed));
             }
             let id = (p * k + half + a) as u32;
@@ -654,7 +662,7 @@ fn build_fat_tree(spec: &FatTreeSpec) -> (Vec<Host>, Vec<Switch>) {
     for c in 0..half * half {
         let mut ports = Vec::with_capacity(k);
         for p in 0..k {
-            let agg = p * k + half + c / half;
+            let agg = (p * k + half + c / half) as u32;
             ports.push(port(spec.uplink, DevRef::Switch(agg), &mut next_seed));
         }
         let id = (k * k + c) as u32;
@@ -775,21 +783,21 @@ impl Network {
     /// Local slot of a global host id. Panics (index OOB in the map, or a
     /// `u32::MAX` sentinel) if this network does not own the host.
     #[inline]
-    fn hidx(&self, h: usize) -> usize {
+    fn hidx(&self, h: u32) -> usize {
         if self.host_map.is_empty() {
-            h
+            h as usize
         } else {
-            self.host_map[h] as usize
+            self.host_map[h as usize] as usize
         }
     }
 
     /// Local slot of a global switch id.
     #[inline]
-    fn sidx(&self, s: usize) -> usize {
+    fn sidx(&self, s: u32) -> usize {
         if self.sw_map.is_empty() {
-            s
+            s as usize
         } else {
-            self.sw_map[s] as usize
+            self.sw_map[s as usize] as usize
         }
     }
 
@@ -879,7 +887,7 @@ impl Network {
             started: now,
             completed: None,
         });
-        self.flush_host(src.0 as usize, now, &[tx_idx]);
+        self.flush_host(src.0, now, &[tx_idx]);
         flow
     }
 
@@ -933,7 +941,7 @@ impl Network {
         }
     }
 
-    fn arrive_at_switch(&mut self, s: usize, packet: PacketRef, now: SimTime) {
+    fn arrive_at_switch(&mut self, s: u32, packet: PacketRef, now: SimTime) {
         let (dst, flow) = {
             let p = self.pool.get(packet);
             (p.dst, p.flow)
@@ -943,12 +951,12 @@ impl Network {
         let e = sw.route.entry(dst.0);
         debug_assert!(e.n != 0, "no route from switch {s} to {dst}");
         let out = if e.n <= 1 {
-            e.base as usize
+            e.base
         } else {
             // ECMP: deterministic per-flow hash over the equal-cost group.
-            (e.base as u64 + ecmp_mix(flow.0 ^ sw.ecmp_salt) % e.n as u64) as usize
+            (e.base as u64 + ecmp_mix(flow.0 ^ sw.ecmp_salt) % e.n as u64) as u32
         };
-        let port = &mut sw.ports[out];
+        let port = &mut sw.ports[out as usize];
         let _ = enqueue_and_kick(
             port,
             DevRef::Switch(s),
@@ -960,7 +968,7 @@ impl Network {
         );
     }
 
-    fn arrive_at_host(&mut self, h: usize, r: PacketRef, now: SimTime) {
+    fn arrive_at_host(&mut self, h: u32, r: PacketRef, now: SimTime) {
         // The packet leaves the pool here: delivery is the end of its life on
         // the wire, and the endpoint only borrows it (`on_segment(&packet)`).
         let packet = self.pool.take(r);
@@ -977,9 +985,9 @@ impl Network {
         let idx = flow_index(packet.flow)
             .and_then(|i| self.flow_slots.get(i))
             .and_then(|slot| {
-                if slot.dst_host == h as u32 {
+                if slot.dst_host == h {
                     Some(slot.rx_idx)
-                } else if slot.src_host == h as u32 {
+                } else if slot.src_host == h {
                     Some(slot.tx_idx)
                 } else {
                     None
@@ -1003,14 +1011,14 @@ impl Network {
         ep.agent().on_segment(&packet, now);
         if let (Some(before), Endpoint::Rx(rx)) = (goodput_before, &*ep) {
             let delta = rx.bytes_received().saturating_sub(before);
-            self.throughput.record(NodeId(h as u32), delta, now);
+            self.throughput.record(NodeId(h), delta, now);
         }
         self.flush_host(h, now, &[idx]);
     }
 
     /// Batched fast path: a contended port's line went free. Clear the armed
     /// wakeup and serve the next queued packet.
-    fn port_free(&mut self, dev: DevRef, port_idx: usize, now: SimTime) {
+    fn port_free(&mut self, dev: DevRef, port_idx: u32, now: SimTime) {
         let port = match dev {
             DevRef::Host(h) => {
                 let hi = self.hidx(h);
@@ -1018,7 +1026,7 @@ impl Network {
             }
             DevRef::Switch(s) => {
                 let si = self.sidx(s);
-                &mut self.switches[si].ports[port_idx]
+                &mut self.switches[si].ports[port_idx as usize]
             }
         };
         debug_assert!(port.wakeup_armed, "PortFree on an unarmed port");
@@ -1026,7 +1034,7 @@ impl Network {
         start_tx_batched(port, dev, port_idx, now, &mut self.pending, &mut self.pool);
     }
 
-    fn host_timers(&mut self, h: usize, now: SimTime) {
+    fn host_timers(&mut self, h: u32, now: SimTime) {
         // Reuse the scratch buffer across timer events (the seed allocated a
         // fresh `Vec` here every time).
         let mut due = std::mem::take(&mut self.due_buf);
@@ -1071,7 +1079,7 @@ impl Network {
 
     fn sample(&mut self, now: SimTime) {
         let si = match &self.trace {
-            Some(ts) => self.sidx(ts.switch),
+            Some(ts) => self.sidx(ts.switch as u32),
             None => return,
         };
         let Some(ts) = self.trace.as_mut() else {
@@ -1115,7 +1123,7 @@ impl Network {
     /// so restricting the flush to the touched slots is behaviour-identical
     /// to draining every endpoint — without the O(endpoints) scan on every
     /// delivered packet.
-    fn flush_host(&mut self, h: usize, now: SimTime, touched: &[u32]) {
+    fn flush_host(&mut self, h: u32, now: SimTime, touched: &[u32]) {
         let hi = self.hidx(h);
         let Network {
             hosts,
@@ -1389,7 +1397,7 @@ impl Network {
         };
         if self.owns_host(d.dst.0 as usize) {
             let receiver = Receiver::new(d.flow, d.dst, d.src, d.cfg.clone());
-            let hi = self.hidx(d.dst.0 as usize);
+            let hi = self.hidx(d.dst.0);
             let dst_h = &mut self.hosts[hi];
             let rx_idx = dst_h.eps.len() as u32;
             dst_h.ep_flow.push(d.flow);
@@ -1403,7 +1411,7 @@ impl Network {
         if owns_src {
             let mut sender = Sender::new(d.flow, d.src, d.dst, d.bytes, d.cfg.clone(), d.now);
             sender.set_trace(self.pkt_trace.clone());
-            let hi = self.hidx(d.src.0 as usize);
+            let hi = self.hidx(d.src.0);
             let src_h = &mut self.hosts[hi];
             let tx_idx = src_h.eps.len() as u32;
             src_h.ep_flow.push(d.flow);
@@ -1421,7 +1429,7 @@ impl Network {
         });
         if owns_src {
             let tx_idx = slot.tx_idx;
-            self.flush_host(d.src.0 as usize, d.now, &[tx_idx]);
+            self.flush_host(d.src.0, d.now, &[tx_idx]);
         }
     }
 
@@ -1642,4 +1650,35 @@ fn merge_stats(into: &mut QueueStats, from: &QueueStats) {
     into.bytes_dequeued += from.bytes_dequeued;
     into.max_len_packets = into.max_len_packets.max(from.max_len_packets);
     into.max_len_bytes = into.max_len_bytes.max(from.max_len_bytes);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MAX_DEVICES_PER_KIND;
+    use simevent::ScheduledEvent;
+    use std::mem::size_of;
+
+    /// Every pending event is sifted through the scheduler's heap, so its
+    /// record size is a throughput budget: a field widened here costs the
+    /// large fat-tree runs 10–20% of their wall time.
+    #[test]
+    fn event_records_stay_small() {
+        assert_eq!(size_of::<Event>(), 16);
+        assert_eq!(size_of::<ScheduledEvent<Event>>(), 32);
+        assert_eq!(size_of::<(SimTime, u16, Event)>(), 32);
+    }
+
+    #[test]
+    fn device_lanes_stay_below_the_reserved_lanes() {
+        let max = MAX_DEVICES_PER_KIND - 1;
+        assert_eq!(dev_lane(DevRef::Host(max)), SAMPLE_LANE - 2);
+        assert_eq!(dev_lane(DevRef::Switch(max)), SAMPLE_LANE - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "tie-break lane range")]
+    fn device_lane_past_the_limit_panics() {
+        dev_lane(DevRef::Host(MAX_DEVICES_PER_KIND));
+    }
 }

@@ -107,15 +107,15 @@ impl ShardPlan {
 
     fn shard_of_dev(&self, dev: DevRef) -> u32 {
         match dev {
-            DevRef::Host(h) => self.host_shard[h],
-            DevRef::Switch(s) => self.sw_shard[s],
+            DevRef::Host(h) => self.host_shard[h as usize],
+            DevRef::Switch(s) => self.sw_shard[s as usize],
         }
     }
 
     fn shard_of_event(&self, ev: &Event) -> u32 {
         match ev {
             Event::Arrive { dev, .. } | Event::PortFree { dev, .. } => self.shard_of_dev(*dev),
-            Event::HostTimers { host } => self.host_shard[*host],
+            Event::HostTimers { host } => self.host_shard[*host as usize],
             Event::AppTimer { .. } | Event::Sample => {
                 unreachable!("application events never enter shard queues")
             }
@@ -173,7 +173,7 @@ impl NetShardWorker {
         {
             let pkt = self.net.pool_peek(*packet);
             if let Some((src, bytes)) = self.net.flow_src_bytes(pkt.flow) {
-                if src as usize == *h && pkt.ack > bytes {
+                if src == *h && pkt.ack > bytes {
                     self.candidates.push(Reverse(at));
                 }
             }
@@ -292,7 +292,7 @@ impl EpochWorker for NetShardWorker {
             let WireMsg { dev, src, pkt } = m.payload;
             if let DevRef::Host(h) = dev {
                 if let Some((s, bytes)) = self.net.flow_src_bytes(pkt.flow) {
-                    if s as usize == h && pkt.ack > bytes {
+                    if s == h && pkt.ack > bytes {
                         self.candidates.push(Reverse(m.at));
                     }
                 }

@@ -143,10 +143,11 @@ impl<A: Application> Simulation<A> {
                 let lane = event_tie_lane(src, &e);
                 match e {
                     Event::HostTimers { host } => {
-                        if let Some(h) = timer_handles[host].take() {
+                        let slot = &mut timer_handles[host as usize];
+                        if let Some(h) = slot.take() {
                             sched.cancel(h);
                         }
-                        timer_handles[host] = Some(sched.schedule_cancellable_at_in_lane(
+                        *slot = Some(sched.schedule_cancellable_at_in_lane(
                             t,
                             lane,
                             Event::HostTimers { host },
@@ -181,7 +182,7 @@ impl<A: Application> Simulation<A> {
             match ev {
                 Event::AppTimer { token } => app.on_timer(token, net, now),
                 Event::HostTimers { host } => {
-                    timer_handles[host] = None;
+                    timer_handles[host as usize] = None;
                     net.handle(Event::HostTimers { host }, now);
                 }
                 other => net.handle(other, now),

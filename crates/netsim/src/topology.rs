@@ -4,6 +4,25 @@ use crate::link::LinkSpec;
 use ecn_core::QdiscSpec;
 use serde::{Deserialize, Serialize};
 
+/// Most hosts, and most switches, one fabric may have: every device takes a
+/// 16-bit same-instant tie-break lane (hosts even, switches odd) below the
+/// two lanes reserved for the application and the queue sampler.
+pub const MAX_DEVICES_PER_KIND: u32 = 32_767;
+
+/// Reject a fabric whose device counts overflow the tie-break lanes. Counts
+/// are `u128` so that the product forming them cannot overflow first.
+fn assert_device_counts(hosts: u128, switches: u128) {
+    let max = u128::from(MAX_DEVICES_PER_KIND);
+    assert!(
+        hosts <= max,
+        "fabric has {hosts} hosts, more than the {max} supported"
+    );
+    assert!(
+        switches <= max,
+        "fabric has {switches} switches, more than the {max} supported"
+    );
+}
+
 /// A two-tier Hadoop-style cluster:
 ///
 /// ```text
@@ -56,6 +75,11 @@ impl ClusterSpec {
         assert!(self.racks >= 1, "need at least one rack");
         assert!(self.hosts_per_rack >= 1, "need at least one host per rack");
         assert!(self.host_buffer_packets >= 1);
+        let racks = u128::from(self.racks);
+        assert_device_counts(
+            racks * u128::from(self.hosts_per_rack),
+            racks + u128::from(self.racks > 1),
+        );
         self.host_link.validate();
         self.uplink.validate();
     }
@@ -145,6 +169,8 @@ impl FatTreeSpec {
         assert!(self.k >= 2, "fat-tree arity must be at least 2");
         assert!(self.k % 2 == 0, "fat-tree arity must be even");
         assert!(self.host_buffer_packets >= 1);
+        let k = u128::from(self.k);
+        assert_device_counts(k * k * k / 4, k * k + (k / 2) * (k / 2));
         self.host_link.validate();
         self.uplink.validate();
     }
@@ -285,6 +311,36 @@ mod tests {
     #[should_panic(expected = "must be even")]
     fn odd_arity_rejected() {
         ft(5).validate();
+    }
+
+    #[test]
+    fn largest_fat_tree_within_lane_range_validates() {
+        let s = ft(50);
+        s.validate();
+        assert_eq!(s.total_hosts(), 31_250);
+    }
+
+    #[test]
+    #[should_panic(expected = "35152 hosts")]
+    fn fat_tree_beyond_lane_range_rejected() {
+        ft(52).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "32768 hosts")]
+    fn two_tier_beyond_lane_range_rejected() {
+        let mut s = spec();
+        s.racks = 4096;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "32768 switches")]
+    fn two_tier_switches_beyond_lane_range_rejected() {
+        let mut s = spec();
+        s.racks = 32_767;
+        s.hosts_per_rack = 1;
+        s.validate();
     }
 
     #[test]

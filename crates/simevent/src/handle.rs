@@ -4,8 +4,8 @@
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiplicative hasher for event sequence numbers. Sequence numbers are
-/// already unique and uniformly consumed, so SipHash's DoS resistance buys
+/// Multiplicative hasher for event tie keys. Tie keys are already unique and
+/// their low bits are the schedule order, so SipHash's DoS resistance buys
 /// nothing here and its latency sits on every pop's reap check; a single
 /// Fibonacci multiply mixes the low bits well enough for a power-of-two
 /// table.
@@ -30,15 +30,16 @@ type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
 
 /// Identifies one cancellable scheduled event.
 ///
-/// A handle is the event's unique sequence number. A handle is dead once the
-/// event fires or is cancelled; cancelling a dead handle is a no-op returning
-/// `false`, never a panic — exactly what rearmed TCP timers need.
+/// A handle is the event's tie key ([`TieBreak::key`](crate::TieBreak::key)),
+/// which is unique per queue. A handle is dead once the event fires or is
+/// cancelled; cancelling a dead handle is a no-op returning `false`, never a
+/// panic — exactly what rearmed TCP timers need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerHandle(pub(crate) u64);
 
 /// Lazy-deletion state. Cancelled events stay physically enqueued and are
 /// skipped ("reaped") when they surface at pop, trading a tiny deferred cost
-/// for O(1) cancellation with no searching, with the global `seq` as the
+/// for O(1) cancellation with no searching, with the unique tie key as the
 /// generation.
 #[derive(Debug, Default)]
 pub(crate) struct CancelSet {
@@ -49,10 +50,10 @@ pub(crate) struct CancelSet {
 }
 
 impl CancelSet {
-    /// Register a cancellable event by its sequence number.
-    pub(crate) fn register(&mut self, seq: u64) -> TimerHandle {
-        self.live.insert(seq);
-        TimerHandle(seq)
+    /// Register a cancellable event by its tie key.
+    pub(crate) fn register(&mut self, tie: u64) -> TimerHandle {
+        self.live.insert(tie);
+        TimerHandle(tie)
     }
 
     /// Cancel a handle. Returns `false` if it already fired or was cancelled.
@@ -70,20 +71,20 @@ impl CancelSet {
     ///
     /// The empty-set early-outs matter: most events are never cancellable, so
     /// the common-case pop must not pay two hash lookups.
-    pub(crate) fn reap(&mut self, seq: u64) -> bool {
-        if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
+    pub(crate) fn reap(&mut self, tie: u64) -> bool {
+        if !self.cancelled.is_empty() && self.cancelled.remove(&tie) {
             return true;
         }
         if !self.live.is_empty() {
             // Fired normally: the handle (if any) is now dead.
-            self.live.remove(&seq);
+            self.live.remove(&tie);
         }
         false
     }
 
     /// Whether this event was cancelled and not yet reaped (peek support).
-    pub(crate) fn is_cancelled(&self, seq: u64) -> bool {
-        !self.cancelled.is_empty() && self.cancelled.contains(&seq)
+    pub(crate) fn is_cancelled(&self, tie: u64) -> bool {
+        !self.cancelled.is_empty() && self.cancelled.contains(&tie)
     }
 
     /// Cancelled events still physically enqueued (the live-length correction).

@@ -6,26 +6,33 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// An event plus the instant it fires, a monotone sequence number, and the
-/// tie key derived from it. Under the default [`TieBreak::Fifo`] policy
-/// `tie == seq`, so same-instant events pop in the order they were scheduled
-/// (FIFO), which is what keeps whole simulations deterministic. Cancellation
-/// identity always stays on `seq`; only same-instant ordering uses `tie`.
+/// An event plus the instant it fires and its tie key ([`TieBreak::key`] of
+/// the schedule order and lane). Under the default [`TieBreak::Fifo`] policy
+/// the key is the schedule order, so same-instant events pop in the order
+/// they were scheduled (FIFO), which is what keeps whole simulations
+/// deterministic. The key is unique per queue, so it is also the identity a
+/// [`TimerHandle`] cancels by.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub at: SimTime,
-    /// Scheduling order; the cancellation/bookkeeping identity.
-    pub seq: u64,
-    /// Same-instant ordering key ([`TieBreak::key`] of `seq`).
+    /// Same-instant ordering key and cancellation identity.
     pub tie: u64,
     /// The event payload.
     pub event: E,
 }
 
+impl<E> ScheduledEvent<E> {
+    /// `(at, tie)` as one integer, so the heap's sift compares once.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.tie)
+    }
+}
+
 impl<E> PartialEq for ScheduledEvent<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.tie == other.tie
+        self.key() == other.key()
     }
 }
 impl<E> Eq for ScheduledEvent<E> {}
@@ -40,10 +47,7 @@ impl<E> Ord for ScheduledEvent<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (and, at equal
         // times, the smallest tie key) event is at the top.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.tie.cmp(&self.tie))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -117,7 +121,6 @@ pub trait QueueBackend<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
-    scheduled_total: u64,
     cancels: CancelSet,
     tie_break: TieBreak,
 }
@@ -139,7 +142,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            scheduled_total: 0,
             cancels: CancelSet::default(),
             tie_break,
         }
@@ -149,13 +151,12 @@ impl<E> EventQueue<E> {
     ///
     /// `cap` is a lower bound on the initial allocation, not a limit: the
     /// queue grows past it transparently, and [`capacity`](Self::capacity)
-    /// may report more than requested. Counters (`scheduled_total`, `seq`)
-    /// start at zero exactly as with [`new`](Self::new).
+    /// may report more than requested. The schedule counter starts at zero
+    /// exactly as with [`new`](Self::new).
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
-            scheduled_total: 0,
             cancels: CancelSet::default(),
             tie_break: TieBreak::Fifo,
         }
@@ -178,8 +179,8 @@ impl<E> EventQueue<E> {
             let live: Vec<ScheduledEvent<E>> = std::mem::take(&mut self.heap)
                 .into_iter()
                 .filter(|se| {
-                    if self.cancels.is_cancelled(se.seq) {
-                        self.cancels.reap(se.seq);
+                    if self.cancels.is_cancelled(se.tie) {
+                        self.cancels.reap(se.tie);
                         false
                     } else {
                         true
@@ -192,17 +193,10 @@ impl<E> EventQueue<E> {
     }
 
     fn push(&mut self, at: SimTime, lane: u64, event: E) -> u64 {
-        let seq = self.next_seq;
+        let tie = self.tie_break.key(self.next_seq, lane);
         self.next_seq += 1;
-        self.scheduled_total += 1;
-        let tie = self.tie_break.key(seq, lane);
-        self.heap.push(ScheduledEvent {
-            at,
-            seq,
-            tie,
-            event,
-        });
-        seq
+        self.heap.push(ScheduledEvent { at, tie, event });
+        tie
     }
 
     /// Schedule `event` to fire at absolute time `at` (default lane 0).
@@ -228,8 +222,8 @@ impl<E> EventQueue<E> {
         lane: u64,
         event: E,
     ) -> TimerHandle {
-        let seq = self.push(at, lane, event);
-        self.cancels.register(seq)
+        let tie = self.push(at, lane, event);
+        self.cancels.register(tie)
     }
 
     /// Cancel a pending event (lazy deletion: it is skipped when popped).
@@ -240,7 +234,7 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest live event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(se) = self.heap.pop() {
-            if self.cancels.reap(se.seq) {
+            if self.cancels.reap(se.tie) {
                 continue;
             }
             // Pop-is-minimum invariant: nothing still queued may fire before
@@ -257,14 +251,14 @@ impl<E> EventQueue<E> {
     /// The firing time of the earliest live pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         let head = self.heap.peek()?;
-        if !self.cancels.is_cancelled(head.seq) {
+        if !self.cancels.is_cancelled(head.tie) {
             return Some(head.at);
         }
         // Rare path: the head is a lazily-deleted timer; fall back to a scan
         // over live events rather than mutating from a peek.
         self.heap
             .iter()
-            .filter(|se| !self.cancels.is_cancelled(se.seq))
+            .filter(|se| !self.cancels.is_cancelled(se.tie))
             .map(|se| se.at)
             .min()
     }
@@ -284,10 +278,10 @@ impl<E> EventQueue<E> {
     /// Monotone over the queue's lifetime: unaffected by pops, cancellations,
     /// and [`clear`](Self::clear).
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.next_seq
     }
 
-    /// Drop all pending events (keeps `scheduled_total` and the seq counter).
+    /// Drop all pending events (keeps the schedule counter).
     pub fn clear(&mut self) {
         self.heap.clear();
         self.cancels.clear();

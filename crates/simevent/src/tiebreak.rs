@@ -63,18 +63,19 @@ impl TieBreak {
     /// packs `[dest_rank:16][src:16][seq:32]`: destinations sort by a
     /// seed-dependent hash rank, one destination's events sort canonically
     /// by `(src, seq)`. Supports 2³² events and 2¹⁶ entities per run
-    /// (debug-asserted; the pinned simverify grids are orders of magnitude
-    /// below both).
+    /// (asserted: the key is the queue's cancellation identity, so it must
+    /// stay unique; the pinned simverify grids are orders of magnitude below
+    /// both).
     #[inline]
     pub fn key(self, seq: u64, lane: u64) -> u64 {
         match self {
             TieBreak::Fifo => seq,
             TieBreak::Permuted(seed) => {
-                debug_assert!(
+                assert!(
                     seq < (1 << 32),
                     "permuted tie-break supports at most 2^32 events per run"
                 );
-                debug_assert!(
+                assert!(
                     lane < (1 << 32),
                     "lane must be pack_lane(dest, src) with 16-bit entities"
                 );
@@ -112,6 +113,15 @@ mod tests {
                 .collect();
             assert_eq!(keys.len(), 10_000, "collision under seed {seed}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 events")]
+    fn permuted_rejects_a_seq_that_would_collide() {
+        // Keys are the queue's cancellation identity: seq 2³² would share
+        // its low 32 bits with seq 0, so the key must refuse it in every
+        // build profile.
+        TieBreak::Permuted(1).key(1 << 32, pack_lane(0, 0));
     }
 
     #[test]
