@@ -1,26 +1,27 @@
-//! Benchmark regression gate: measure, emit one report (`BENCH.json`),
-//! compare against the committed baseline, exit nonzero on regression.
+//! Exact-count regression gate: measure, emit one report (`BENCH.json`),
+//! compare against the committed baseline, exit nonzero on any difference.
 //!
 //! Usage:
-//!   `bench_gate [--out PATH] [--baseline PATH] [--seed N]`
+//!   `bench_gate [--out PATH] [--baseline PATH]`
 //!       measure, write `--out` (default `BENCH.json`), compare against
-//!       `--baseline` (default `BENCH_baseline.json`); exit 1 on any
-//!       metric outside tolerance, 2 on IO/usage errors.
-//!   `bench_gate --write-baseline [--baseline PATH] [--seed N]`
+//!       `--baseline` (default `BENCH_baseline.json`); exit 1 on any failed
+//!       check, 2 on IO/usage errors.
+//!   `bench_gate --write-baseline [--baseline PATH]`
 //!       measure and (re)write the baseline instead of comparing — run this
-//!       on the reference machine when a deliberate perf change lands.
+//!       when a change alters the simulation's work on purpose. The baseline
+//!       zeroes the host-dependent `cores` and `shard.speedup`.
 //!   `bench_gate --compare-only CURRENT [--baseline PATH]`
 //!       skip measurement; compare an existing report file (used by tests
 //!       and for post-hoc analysis of CI artifacts).
 //!
-//! Tolerances: every toleranced metric — wall-clock seconds, per-packet
-//! costs, the cc vs-Reno ratios, and the shard speedup — may regress ≤25%.
-//! The shard speedup must also reach 2x on machines with ≥4 cores, and
-//! output divergence (serial vs parallel, sharded vs serial) fails
-//! outright. See `experiments::gate`.
+//! Checks: every count (packets, events, pool allocations, high water,
+//! sweep points/events/peak pending, fat-tree hosts/flows/events) must equal
+//! the baseline exactly; output divergence (serial vs parallel, sharded vs
+//! one shard) fails outright; and the shard speedup must reach 2x on
+//! machines with ≥4 cores. See `experiments::gate`.
 
 use experiments::gate::{
-    compare, measure, BenchReport, Tolerance, BENCH8_MIN_SPEEDUP, BENCH8_SHARDS,
+    baseline_of, compare, counts, holds, measure, BenchReport, BENCH8_MIN_SPEEDUP, BENCH8_SHARDS,
 };
 use experiments::report::write_json;
 use std::path::{Path, PathBuf};
@@ -37,12 +38,18 @@ fn load_report(path: &Path) -> BenchReport {
         .unwrap_or_else(|e| die(&format!("cannot parse {}: {e}", path.display())))
 }
 
+fn write_or_die(report: &BenchReport, path: &Path) {
+    if let Err(e) = write_json(report, path) {
+        die(&format!("cannot write {}: {e}", path.display()));
+    }
+    eprintln!("[bench_gate] wrote {}", path.display());
+}
+
 struct Args {
     out: PathBuf,
     baseline_path: PathBuf,
     compare_only: Option<PathBuf>,
     write_baseline: bool,
-    seed: u64,
 }
 
 fn parse_args() -> Args {
@@ -51,7 +58,6 @@ fn parse_args() -> Args {
         baseline_path: PathBuf::from("BENCH_baseline.json"),
         compare_only: None,
         write_baseline: false,
-        seed: 20170905u64,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -69,13 +75,9 @@ fn parse_args() -> Args {
                 None => die("--compare-only needs a report path"),
             },
             "--write-baseline" => args.write_baseline = true,
-            "--seed" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) => args.seed = s,
-                _ => die("--seed needs an unsigned integer value"),
-            },
             other => die(&format!(
                 "unknown argument {other}; supported: --out PATH --baseline PATH \
-                 --compare-only PATH --write-baseline --seed N"
+                 --compare-only PATH --write-baseline"
             )),
         }
     }
@@ -88,79 +90,41 @@ fn main() {
         baseline_path,
         compare_only,
         write_baseline,
-        seed,
     } = parse_args();
 
     let current: BenchReport = match &compare_only {
         Some(path) => load_report(path),
         None => {
-            let report = measure(seed);
-            let target = if write_baseline { &baseline_path } else { &out };
-            if let Err(e) = write_json(&report, target) {
-                die(&format!("cannot write {}: {e}", target.display()));
-            }
-            eprintln!("[bench_gate] wrote {}", target.display());
+            let report = measure();
             if write_baseline {
+                write_or_die(&baseline_of(report), &baseline_path);
                 eprintln!("[bench_gate] baseline refreshed; not comparing");
                 return;
             }
+            write_or_die(&report, &out);
             report
         }
     };
 
     let baseline = load_report(&baseline_path);
-    let violations = compare(&current, &baseline, &Tolerance::default());
+    let violations = compare(&current, &baseline);
     println!("== bench gate vs {} ==", baseline_path.display());
+    for (metric, value) in counts(&current) {
+        println!("{metric:<36} {value}");
+    }
+    for (metric, ok) in holds(&current) {
+        println!("{metric:<36} {ok}");
+    }
     println!(
-        "sweep: {} points, serial {:.2}s, parallel {:.2}s, outputs identical: {}",
-        current.sweep_fig2_shallow.points,
-        current.sweep_fig2_shallow.fast_seconds,
-        current.sweep_fig2_shallow.parallel_seconds,
-        current.sweep_fig2_shallow.outputs_identical,
-    );
-    let cc_line: Vec<String> = current
-        .cc
-        .controllers
-        .iter()
-        .map(|w| {
-            format!(
-                "{} {:.1}M ops/s ({:.2}x)",
-                w.controller,
-                w.ops_per_sec / 1e6,
-                w.vs_reno
-            )
-        })
-        .collect();
-    println!("cc on_ack: {}", cc_line.join(", "));
-    println!(
-        "pool: {} packets, {} heap allocs, {:.2}M inserts/s",
-        current.pool.packets,
-        current.pool.pooled_heap_allocs,
-        current.pool.pooled_inserts_per_sec / 1e6,
-    );
-    println!(
-        "link: {:.2} events/packet",
-        current.link.fast_events_per_packet
-    );
-    println!(
-        "shard ({} hosts, {} flows, {} events): serial {:.2}s, {} shards {:.2}s — speedup \
-         {:.2}x (floor {BENCH8_MIN_SPEEDUP}x on >= {BENCH8_SHARDS} cores; this report: {} \
-         cores), outputs identical: {}",
-        current.shard.hosts,
-        current.shard.flows,
-        current.shard.events,
-        current.shard.serial_seconds,
-        current.shard.shards,
-        current.shard.sharded_seconds,
-        current.shard.speedup,
-        current.cores,
-        current.shard.outputs_identical,
+        "{:<36} {:.2}x at {} shards (floor {BENCH8_MIN_SPEEDUP}x on >= {BENCH8_SHARDS} cores; \
+         this report: {} cores)",
+        "shard.speedup", current.shard.speedup, current.shard.shards, current.cores,
     );
     if violations.is_empty() {
-        println!("PASS: all gated metrics within tolerance");
+        println!("PASS: every count equals the baseline");
         return;
     }
-    println!("FAIL: {} metric(s) regressed:", violations.len());
+    println!("FAIL: {} check(s) failed:", violations.len());
     for v in &violations {
         println!("  {v}");
     }

@@ -5,7 +5,7 @@
 //! Usage: `fig1_queue_snapshot [--tiny] [--seed N]`
 
 use experiments::cli::cli_args;
-use experiments::figures::{fig1, fig1_trace_csv};
+use experiments::figures::fig1_full;
 use experiments::report::write_json;
 use simevent::SimDuration;
 use std::path::Path;
@@ -16,7 +16,7 @@ fn main() {
     let cfg = args.scenario();
     let target = SimDuration::from_micros(200);
     eprintln!("[fig1] running TCP-ECN Terasort over stock RED (Default mode), shallow buffers...");
-    let rep = fig1(&cfg, target);
+    let (rep, csv) = fig1_full(&cfg, target);
 
     println!("== Fig. 1 — snapshot of a congested switch egress queue ==");
     println!("queue: ToR0 -> host0, RED default mode, target delay {target}");
@@ -62,12 +62,7 @@ fn main() {
     } else {
         "fig1_trace.csv"
     });
-    match fig1_trace_csv(&cfg, target) {
-        Ok(csv) => {
-            if std::fs::write(&csv_path, csv).is_ok() {
-                eprintln!("[fig1] wrote {}", csv_path.display());
-            }
-        }
-        Err(e) => eprintln!("[fig1] trace export skipped: {e}"),
+    if std::fs::write(&csv_path, csv).is_ok() {
+        eprintln!("[fig1] wrote {}", csv_path.display());
     }
 }

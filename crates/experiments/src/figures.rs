@@ -202,11 +202,6 @@ pub fn fig1(cfg: &ScenarioConfig, target_delay: SimDuration) -> Fig1Report {
     fig1_full(cfg, target_delay).0
 }
 
-/// The Fig. 1 queue-occupancy time series as CSV (for external plotting).
-pub fn fig1_trace_csv(cfg: &ScenarioConfig, target_delay: SimDuration) -> Result<String, String> {
-    Ok(fig1_full(cfg, target_delay).1)
-}
-
 /// Run the Fig. 1 scenario once, returning both the summary report and the
 /// CSV-rendered occupancy trace.
 pub fn fig1_full(cfg: &ScenarioConfig, target_delay: SimDuration) -> (Fig1Report, String) {

@@ -15,9 +15,10 @@
 //! worker pool (`--jobs N`) with a content-addressed result cache under
 //! `results/.cache/` (`--no-cache` to bypass), merging results in point
 //! order so parallel, serial and cache-served runs emit byte-identical
-//! JSON. The [`gate`] module holds the benchmark regression gate
-//! (`bench_gate` bin, `BENCH.json`) that CI enforces, and the [`verify`]
-//! module the `simverify` schedule-permutation determinism checker.
+//! JSON. The [`gate`] module holds the exact-count regression gate
+//! (`bench_gate` bin, `BENCH.json`) that CI enforces: every deterministic
+//! count must equal the committed baseline. The [`verify`] module holds
+//! the `simverify` schedule-permutation determinism checker.
 
 pub mod cc_matrix;
 pub mod claims;

@@ -8,11 +8,13 @@
 //! flow state, slab growth), which is sublinear in packets by construction.
 //! A direct probe first proves the counter counts: 1,000 boxed values must
 //! raise it by at least 1,000, so the bound cannot pass on a dead counter.
+//! Then every `simcc` controller is driven through the sender's per-ACK
+//! hook sequence, which must not allocate at all.
 //!
 //! The process-wide bound is debug-only (`cfg(debug_assertions)`): CI runs
 //! this under `cargo test` (dev profile) in its own job; under `--release`
-//! the test still runs the point but only checks the counter probe and the
-//! pool's own counters.
+//! the test still runs the point but only checks the counter probe, the
+//! controllers' zero-allocation ACK path and the pool's own counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +51,27 @@ fn allocs() -> u64 {
 use experiments::scenario::{
     run_scenario_once_full, BufferDepth, Engine, QueueKind, ScenarioConfig, Transport,
 };
+use simcc::{Cc, CcAlg, CcParams, CongestionController};
 use simevent::SimDuration;
+
+/// Drive one controller through the sender's per-ACK hook sequence `acks`
+/// times: `on_ack` + `on_ce_feedback` on every ACK (the hooks the sender
+/// calls unconditionally), an RTT sample and a guarded ECN reduction once
+/// per ~window. Deterministic — no RNG, fixed CE cadence.
+fn drive_ack_path(cc: &mut Cc, p: &CcParams, acks: u64) {
+    let mut now = 0u64;
+    let mut ack = 0u64;
+    for i in 0..acks {
+        now += 12_000;
+        ack += 1448;
+        cc.on_ack(p, 1448, now);
+        cc.on_ce_feedback(p, 1448, i % 97 == 0, ack, ack + 64 * 1448);
+        if i % 64 == 63 {
+            cc.on_rtt_sample(p, 200_000 + (i % 7) * 10_000, now, false);
+            cc.on_ece(p);
+        }
+    }
+}
 
 /// Run the point: (process allocations, packets delivered to hosts, pool
 /// counters).
@@ -84,6 +106,23 @@ fn steady_state_dctcp_point_performs_no_per_packet_allocation() {
         probed >= 1_000,
         "counter sanity: 1000 boxes counted as {probed} allocations"
     );
+
+    // Zero allocations on every controller's per-ACK path, in every
+    // profile: an allocation growing onto it moves the counter.
+    let p = CcParams {
+        mss: 1448.0,
+        init_cwnd: 10.0 * 1448.0,
+        init_ssthresh: (1u64 << 20) as f64,
+        dctcp_g: 1.0 / 16.0,
+    };
+    for alg in CcAlg::ALL {
+        let mut cc = Cc::new(alg, &p);
+        let before = allocs();
+        drive_ack_path(&mut cc, &p, 10_000);
+        let acked = allocs() - before;
+        assert_eq!(acked, 0, "{alg:?}: {acked} allocations on the ACK path");
+        std::hint::black_box(cc.cwnd());
+    }
 
     // Warm-up run: fault in allocator arenas, lazy statics, thread locals.
     // The packet count is deliveries, not pool inserts: a packet enters the

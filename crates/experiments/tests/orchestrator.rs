@@ -3,9 +3,7 @@
 //! the bench-gate regression exit codes.
 
 use ecn_core::ProtectionMode;
-use experiments::gate::{
-    BenchReport, CcSection, CcWorkload, LinkSection, PoolSection, ShardSection, SweepSection,
-};
+use experiments::gate::{BenchReport, HotHostSection, ShardSection, SweepSection};
 use experiments::scenario::{QueueKind, Transport};
 use experiments::{sweep_with, CacheMode, SweepGrid, SweepOptions};
 use std::path::{Path, PathBuf};
@@ -187,49 +185,25 @@ fn fig2_bin_trace_executes_despite_warm_cache() {
 fn canned_report() -> BenchReport {
     BenchReport {
         description: "test report".into(),
-        pool: PoolSection {
+        hot_host: HotHostSection {
             packets: 1_400_000,
-            pooled_heap_allocs: 160,
-            pooled_allocs_per_packet: 160.0 / 1_400_000.0,
-            pooled_inserts_per_sec: 3.5e6,
+            events: 1_800_000,
+            pool_heap_allocs: 160,
             high_water: 160,
-        },
-        link: LinkSection {
-            packets: 1_400_000,
-            fast_events: 1_800_000,
-            fast_events_per_packet: 1.25,
-        },
-        cc: CcSection {
-            ops: 1_000_000,
-            controllers: ["reno", "dctcp", "cubic", "bbr", "prague"]
-                .iter()
-                .map(|name| CcWorkload {
-                    controller: (*name).into(),
-                    ops_per_sec: 5.0e7,
-                    vs_reno: 1.0,
-                })
-                .collect(),
         },
         sweep_fig2_shallow: SweepSection {
             points: 19,
-            fast_seconds: 1.0,
-            parallel_seconds: 0.5,
-            parallel_speedup: 2.0,
-            fast_events_per_sec: 1.0e6,
+            events: 1_000_000,
+            peak_pending: 500,
             outputs_identical: true,
-            fast_events: 1_000_000,
-            fast_peak_pending: 500,
         },
         cores: 1,
         shard: ShardSection {
             hosts: 1024,
             flows: 1152,
             shards: 4,
-            serial_seconds: 2.3,
-            sharded_seconds: 2.0,
-            speedup: 1.15,
             events: 3_300_000,
-            serial_events_per_sec: 1.4e6,
+            speedup: 1.15,
             outputs_identical: true,
         },
     }
@@ -267,40 +241,45 @@ fn bench_gate_passes_against_equal_baseline() {
 }
 
 #[test]
-fn bench_gate_fails_against_inflated_baseline() {
-    // The acceptance scenario: a baseline whose metrics are 20-50% better
-    // than the current run must trip the tolerances and exit nonzero.
+fn bench_gate_fails_against_a_baseline_with_one_count_changed() {
+    // The gate is exact: a baseline one event off the current run (in
+    // either direction) exits 1 and names the count.
     let scratch = Scratch::new("gate-fail");
     let dir = scratch.path();
     let current = dir.join("current.json");
     let baseline_path = dir.join("baseline.json");
     write_report(&current, &canned_report());
 
-    let mut inflated = canned_report();
-    inflated.sweep_fig2_shallow.fast_seconds /= 1.4;
-    inflated.shard.speedup *= 1.5;
-    write_report(&baseline_path, &inflated);
+    let mut changed = canned_report();
+    changed.shard.events += 1;
+    write_report(&baseline_path, &changed);
 
     let out = bench_gate(dir, &current, &baseline_path);
     assert_eq!(
         out.status.code(),
         Some(1),
-        "20%-inflated baseline must fail the gate: {}",
+        "a changed count must fail the gate: {}",
         String::from_utf8_lossy(&out.stdout)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("FAIL"), "{stdout}");
-    assert!(stdout.contains("shard.speedup"), "{stdout}");
+    assert!(
+        stdout.contains("shard.events: 3300000 (expected 3300001)"),
+        "{stdout}"
+    );
 }
 
 #[test]
 fn bench_gate_rejects_unknown_arguments() {
     // One report, one baseline: there is no mode switch, so `--bench8` is
-    // an unknown argument (exit 2) like any other.
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_gate"))
-        .arg("--bench8")
-        .output()
-        .expect("bench_gate runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    // an unknown argument (exit 2) like any other. Nor is there a seed: an
+    // exact gate at any seed but the baseline's would always fail.
+    for flag in ["--bench8", "--seed"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bench_gate"))
+            .arg(flag)
+            .output()
+            .expect("bench_gate runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    }
 }
