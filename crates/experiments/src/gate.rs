@@ -13,8 +13,9 @@
 //!
 //! * **hot_host** — one DCTCP run of the 32-host hot-host point
 //!   ([`hot_host_config`]): packets delivered to hosts, scheduler events,
-//!   packet-pool heap allocations (slab growth only) and the pool's
-//!   high-water mark of live packets.
+//!   packet-pool heap allocations (slab growth only), the pool's
+//!   high-water mark of live packets, flows retired and endpoint slots
+//!   allocated.
 //! * **sweep_fig2_shallow** — the standard point set ([`gate_grid`]) run
 //!   serially and on one worker per core: points, events and peak pending
 //!   of the serial sweep. `outputs_identical` asserts serial == parallel
@@ -62,6 +63,12 @@ pub struct HotHostSection {
     pub pool_heap_allocs: u64,
     /// High-water mark of simultaneously live packets.
     pub high_water: u64,
+    /// Flows whose endpoints were freed once they finished
+    /// (`RunReport::flows_retired`).
+    pub flows_retired: u64,
+    /// Endpoint slots ever allocated, summed over hosts
+    /// (`RunReport::endpoint_slots`): retired flows' slots are reused.
+    pub endpoint_slots: u64,
 }
 
 /// The standard point set, serial and parallel.
@@ -126,12 +133,14 @@ pub fn baseline_of(mut r: BenchReport) -> BenchReport {
 }
 
 /// Every exactly-gated count of a report, by dotted metric path.
-pub fn counts(r: &BenchReport) -> [(&'static str, u64); 10] {
+pub fn counts(r: &BenchReport) -> [(&'static str, u64); 12] {
     [
         ("hot_host.packets", r.hot_host.packets),
         ("hot_host.events", r.hot_host.events),
         ("hot_host.pool_heap_allocs", r.hot_host.pool_heap_allocs),
         ("hot_host.high_water", r.hot_host.high_water),
+        ("hot_host.flows_retired", r.hot_host.flows_retired),
+        ("hot_host.endpoint_slots", r.hot_host.endpoint_slots),
         ("sweep_fig2_shallow.points", r.sweep_fig2_shallow.points),
         ("sweep_fig2_shallow.events", r.sweep_fig2_shallow.events),
         (
@@ -317,6 +326,8 @@ fn hot_host_section() -> HotHostSection {
         events: report.events,
         pool_heap_allocs: pool.heap_allocs,
         high_water: pool.high_water as u64,
+        flows_retired: report.flows_retired,
+        endpoint_slots: report.endpoint_slots,
     }
 }
 
@@ -341,8 +352,9 @@ pub fn measure() -> BenchReport {
     BenchReport {
         description: format!(
             "Exact-count gate at seed {GATE_SEED}: a hot-host DCTCP point (delivered \
-             packets, events, pool heap allocations, high water); the Fig. 2 shallow \
-             standard point set run serially and on one worker per core; and a \
+             packets, events, pool heap allocations, high water, flows retired, endpoint \
+             slots); the Fig. 2 shallow standard point set run serially and on one \
+             worker per core; and a \
              k={BENCH8_FAT_TREE_K} fat-tree (1024 hosts, ECMP) running DCTCP with threshold \
              marking under a bisection permutation plus per-pod hotspot fan-in, on the \
              windowed engine at 1 shard vs {BENCH8_SHARDS} shards. Every count must equal \
@@ -484,6 +496,8 @@ mod tests {
                 events: 250_000,
                 pool_heap_allocs: 64,
                 high_water: 64,
+                flows_retired: 900,
+                endpoint_slots: 120,
             },
             sweep_fig2_shallow: SweepSection {
                 points: 19,
@@ -516,6 +530,10 @@ mod tests {
                 &mut r.hot_host.pool_heap_allocs
             }),
             ("hot_host.high_water", |r| &mut r.hot_host.high_water),
+            ("hot_host.flows_retired", |r| &mut r.hot_host.flows_retired),
+            ("hot_host.endpoint_slots", |r| {
+                &mut r.hot_host.endpoint_slots
+            }),
             ("sweep_fig2_shallow.points", |r| {
                 &mut r.sweep_fig2_shallow.points
             }),

@@ -190,6 +190,8 @@ fn canned_report() -> BenchReport {
             events: 1_800_000,
             pool_heap_allocs: 160,
             high_water: 160,
+            flows_retired: 1_200,
+            endpoint_slots: 180,
         },
         sweep_fig2_shallow: SweepSection {
             points: 19,

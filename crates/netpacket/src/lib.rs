@@ -27,7 +27,7 @@ pub use classify::PacketKind;
 pub use ecn::EcnCodepoint;
 pub use flags::TcpFlags;
 pub use packet::{FlowId, NodeId, Packet, PacketId, SackBlocks, TCP_HEADER_BYTES};
-pub use pool::{PacketPool, PacketRef, PoolStats};
+pub use pool::{FlowCountMismatch, PacketPool, PacketRef, PoolStats};
 pub use qdisc::{
     packet_event, ConservationCheck, EnqueueOutcome, KindCounters, QueueDiscipline, QueueStats,
 };

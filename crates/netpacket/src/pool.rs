@@ -19,6 +19,18 @@
 //! [`PoolStats::inserts`] counts emitted packets plus shard crossings and
 //! [`PoolStats::high_water`] includes queued packets.
 //!
+//! # Per-flow live counts
+//!
+//! The pool also counts its live packets per flow, on the same insert and
+//! take, so every way a packet leaves — delivery, a discipline's tail, early
+//! or head drop, a shard crossing — is covered without the callers doing
+//! anything. A flow marked [`watch`](PacketPool::watch)ed (the network does
+//! this when the flow completes) is reported through
+//! [`take_zeroed`](PacketPool::take_zeroed) each time its count returns to
+//! zero; no other flow ever is, so a run with no finished flows pays no
+//! reporting. `netsim` uses the reports to free a finished flow's endpoints
+//! once none of its packets is left anywhere.
+//!
 //! # Generation checks
 //!
 //! Each slot carries a generation stamped into the handles it issues; the
@@ -26,7 +38,7 @@
 //! [`take`](PacketPool::take), double-take, or a handle from a different
 //! pool epoch) panics instead of silently aliasing a recycled packet.
 
-use crate::Packet;
+use crate::{FlowId, Packet};
 use serde::{Deserialize, Serialize};
 
 /// Generation-checked handle to a packet resident in a [`PacketPool`].
@@ -74,7 +86,28 @@ pub struct PacketPool {
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: u32,
+    /// Live packets per flow, indexed by `FlowId.0` (flow ids are small
+    /// dense integers). The top bit is the [`WATCHED`] flag.
+    flow_live: Vec<u32>,
+    /// Watched flows whose count reached zero since the last
+    /// [`PacketPool::take_zeroed`].
+    zeroed: Vec<FlowId>,
     stats: PoolStats,
+}
+
+/// Flag bit in a `flow_live` word: report this flow's count reaching zero.
+const WATCHED: u32 = 1 << 31;
+
+/// A packet-conservation failure found by [`PacketPool::check_flow_counts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowCountMismatch {
+    /// The flow whose live count is off; `None` when every flow's count is
+    /// right but the pool's total live count is not.
+    pub flow: Option<FlowId>,
+    /// The count the pool kept (the flow's, or the total).
+    pub counted: u64,
+    /// Packets actually resident in the slab (of the flow, or in all).
+    pub resident: u64,
 }
 
 impl PacketPool {
@@ -92,9 +125,20 @@ impl PacketPool {
         }
     }
 
+    /// The `flow_live` word of `flow`, growing the table to reach it.
+    #[inline]
+    fn flow_word(&mut self, flow: FlowId) -> &mut u32 {
+        let i = usize::try_from(flow.0).expect("flow id exceeds the address space");
+        if i >= self.flow_live.len() {
+            self.flow_live.resize(i + 1, 0);
+        }
+        &mut self.flow_live[i]
+    }
+
     /// Move `packet` into the pool, returning its handle.
     pub fn insert(&mut self, packet: Packet) -> PacketRef {
         self.stats.inserts += 1;
+        *self.flow_word(packet.flow) += 1;
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
@@ -169,7 +213,70 @@ impl PacketPool {
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(r.idx);
         self.live -= 1;
+        let flow = packet.flow;
+        let word = &mut self.flow_live[flow.0 as usize];
+        *word -= 1;
+        if *word == WATCHED {
+            self.zeroed.push(flow);
+        }
         packet
+    }
+
+    /// Live packets of `flow` in this pool.
+    pub fn flow_live(&self, flow: FlowId) -> u32 {
+        usize::try_from(flow.0)
+            .ok()
+            .and_then(|i| self.flow_live.get(i))
+            .map_or(0, |w| w & !WATCHED)
+    }
+
+    /// Report `flow`'s count reaching zero from now on, through
+    /// [`PacketPool::take_zeroed`]. Idempotent.
+    pub fn watch(&mut self, flow: FlowId) {
+        *self.flow_word(flow) |= WATCHED;
+    }
+
+    /// Move the watched flows whose count reached zero since the last call
+    /// into `out`, in the order they reached it. A flow can appear more than
+    /// once if its count left zero and came back.
+    pub fn take_zeroed(&mut self, out: &mut Vec<FlowId>) {
+        out.append(&mut self.zeroed);
+    }
+
+    /// Whether any zero transition is waiting in [`PacketPool::take_zeroed`].
+    #[inline]
+    pub fn has_zeroed(&self) -> bool {
+        !self.zeroed.is_empty()
+    }
+
+    /// The packet-conservation audit: every flow's live count must equal
+    /// its packets resident in the slab, and those must add up to
+    /// [`PacketPool::live`]. Scans the whole slab, so it is meant for the
+    /// end of a run.
+    pub fn check_flow_counts(&self) -> Result<(), FlowCountMismatch> {
+        let mut resident = vec![0u32; self.flow_live.len()];
+        for p in self.slots.iter().filter_map(|s| s.packet.as_ref()) {
+            // In range: `insert` grew the table to every resident's flow.
+            resident[p.flow.0 as usize] += 1;
+        }
+        for (i, (&word, &held)) in self.flow_live.iter().zip(&resident).enumerate() {
+            if word & !WATCHED != held {
+                return Err(FlowCountMismatch {
+                    flow: Some(FlowId(i as u64)),
+                    counted: u64::from(word & !WATCHED),
+                    resident: u64::from(held),
+                });
+            }
+        }
+        let held: u64 = resident.iter().map(|&n| u64::from(n)).sum();
+        if held != u64::from(self.live) {
+            return Err(FlowCountMismatch {
+                flow: None,
+                counted: u64::from(self.live),
+                resident: held,
+            });
+        }
+        Ok(())
     }
 
     /// Number of live packets.
@@ -292,6 +399,199 @@ mod tests {
         let r = pool.insert(pkt(1));
         pool.take(r);
         let _ = pool.take(r);
+    }
+
+    fn flow_pkt(id: u64, flow: u64) -> Packet {
+        Packet {
+            flow: FlowId(flow),
+            ..pkt(id)
+        }
+    }
+
+    fn zeroed(pool: &mut PacketPool) -> Vec<FlowId> {
+        let mut out = Vec::new();
+        pool.take_zeroed(&mut out);
+        out
+    }
+
+    /// Per-flow counts always sum to the live count.
+    fn assert_counts_sum(pool: &PacketPool, flows: &[u64]) {
+        assert_eq!(pool.check_flow_counts(), Ok(()));
+        let sum: u32 = flows.iter().map(|&f| pool.flow_live(FlowId(f))).sum();
+        assert_eq!(sum, pool.live());
+    }
+
+    #[test]
+    fn the_audit_names_a_flow_whose_count_is_off() {
+        let mut pool = PacketPool::new();
+        pool.insert(flow_pkt(1, 2));
+        pool.insert(flow_pkt(2, 2));
+        pool.watch(FlowId(2));
+        assert_eq!(pool.check_flow_counts(), Ok(()));
+        pool.flow_live[2] -= 1;
+        assert_eq!(
+            pool.check_flow_counts(),
+            Err(FlowCountMismatch {
+                flow: Some(FlowId(2)),
+                counted: 1,
+                resident: 2,
+            })
+        );
+        pool.flow_live[2] += 1;
+        pool.live += 1;
+        assert_eq!(
+            pool.check_flow_counts(),
+            Err(FlowCountMismatch {
+                flow: None,
+                counted: 3,
+                resident: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn flow_counts_follow_insert_and_take() {
+        let mut pool = PacketPool::new();
+        let a1 = pool.insert(flow_pkt(1, 1));
+        let a2 = pool.insert(flow_pkt(2, 1));
+        let b1 = pool.insert(flow_pkt(3, 5));
+        assert_eq!(pool.flow_live(FlowId(1)), 2);
+        assert_eq!(pool.flow_live(FlowId(5)), 1);
+        assert_eq!(pool.flow_live(FlowId(3)), 0);
+        assert_eq!(pool.flow_live(FlowId(99)), 0, "unseen flow");
+        assert_counts_sum(&pool, &[1, 5]);
+        pool.take(a1);
+        pool.take(b1);
+        assert_eq!(pool.flow_live(FlowId(1)), 1);
+        assert_eq!(pool.flow_live(FlowId(5)), 0);
+        assert_counts_sum(&pool, &[1, 5]);
+        pool.take(a2);
+        assert_counts_sum(&pool, &[1, 5]);
+        assert!(pool.is_empty());
+        assert!(
+            !pool.has_zeroed() && zeroed(&mut pool).is_empty(),
+            "no flow was watched, so no zero transition is reported"
+        );
+    }
+
+    #[test]
+    fn zero_transitions_are_reported_only_for_watched_flows() {
+        let mut pool = PacketPool::new();
+        let a = pool.insert(flow_pkt(1, 1));
+        let b = pool.insert(flow_pkt(2, 2));
+        let b2 = pool.insert(flow_pkt(3, 2));
+        pool.watch(FlowId(2));
+        pool.watch(FlowId(2)); // idempotent
+        assert_eq!(pool.flow_live(FlowId(2)), 2, "watching keeps the count");
+        pool.take(a);
+        pool.take(b);
+        assert!(!pool.has_zeroed(), "flow 2 still has a packet");
+        pool.take(b2);
+        assert_eq!(zeroed(&mut pool), vec![FlowId(2)]);
+        assert!(zeroed(&mut pool).is_empty(), "reports drain once");
+        // The count can leave zero and come back: reported again.
+        let again = pool.insert(flow_pkt(4, 2));
+        assert_eq!(pool.flow_live(FlowId(2)), 1);
+        pool.take(again);
+        assert_eq!(zeroed(&mut pool), vec![FlowId(2)]);
+        assert_counts_sum(&pool, &[1, 2]);
+    }
+
+    /// A discipline that keeps `cap` packets and drops the oldest to admit
+    /// a new one: the pool sees a take the network never asked for.
+    #[derive(Debug, Default)]
+    struct HeadDrop {
+        cap: usize,
+        q: std::collections::VecDeque<PacketRef>,
+        stats: crate::QueueStats,
+    }
+
+    impl crate::QueueDiscipline for HeadDrop {
+        fn enqueue(
+            &mut self,
+            r: PacketRef,
+            pool: &mut PacketPool,
+            _now: SimTime,
+        ) -> crate::EnqueueOutcome {
+            if self.q.len() == self.cap {
+                let head = self.q.pop_front().expect("cap is positive");
+                pool.take(head);
+            }
+            self.q.push_back(r);
+            crate::EnqueueOutcome::Enqueued
+        }
+        fn dequeue(&mut self, _pool: &mut PacketPool, _now: SimTime) -> Option<PacketRef> {
+            self.q.pop_front()
+        }
+        fn len_packets(&self) -> u64 {
+            self.q.len() as u64
+        }
+        fn len_bytes(&self) -> u64 {
+            0
+        }
+        fn capacity_packets(&self) -> u64 {
+            self.cap as u64
+        }
+        fn stats(&self) -> &crate::QueueStats {
+            &self.stats
+        }
+        fn name(&self) -> String {
+            "HeadDrop".into()
+        }
+    }
+
+    #[test]
+    fn a_drop_inside_a_discipline_is_counted_and_reported() {
+        use crate::QueueDiscipline;
+        let mut pool = PacketPool::new();
+        let mut q = HeadDrop {
+            cap: 2,
+            ..HeadDrop::default()
+        };
+        let now = SimTime::ZERO;
+        let r = pool.insert(flow_pkt(1, 3));
+        q.enqueue(r, &mut pool, now);
+        pool.watch(FlowId(3));
+        let r = pool.insert(flow_pkt(2, 4));
+        q.enqueue(r, &mut pool, now);
+        assert_counts_sum(&pool, &[3, 4]);
+        // Flow 4's second packet pushes flow 3's only packet out the head.
+        let r = pool.insert(flow_pkt(3, 4));
+        q.enqueue(r, &mut pool, now);
+        assert_eq!(pool.flow_live(FlowId(3)), 0);
+        assert_eq!(pool.flow_live(FlowId(4)), 2);
+        assert_counts_sum(&pool, &[3, 4]);
+        assert_eq!(zeroed(&mut pool), vec![FlowId(3)]);
+        // Flow 4 drains without being watched: nothing reported.
+        while let Some(r) = q.dequeue(&mut pool, now) {
+            pool.take(r);
+        }
+        assert_counts_sum(&pool, &[3, 4]);
+        assert!(zeroed(&mut pool).is_empty());
+    }
+
+    #[test]
+    fn a_move_between_pools_moves_the_count() {
+        // A shard crossing: taken from one pool, inserted into another.
+        let mut from = PacketPool::new();
+        let mut to = PacketPool::new();
+        let r = from.insert(flow_pkt(1, 6));
+        let keep = from.insert(flow_pkt(2, 7));
+        from.watch(FlowId(6));
+        to.watch(FlowId(6));
+        let moved = to.insert(from.take(r));
+        assert_eq!(from.flow_live(FlowId(6)), 0);
+        assert_eq!(to.flow_live(FlowId(6)), 1);
+        assert_counts_sum(&from, &[6, 7]);
+        assert_counts_sum(&to, &[6, 7]);
+        // The source pool's count hit zero although the flow is alive in
+        // the other pool: a zero here is per pool, never global.
+        assert_eq!(zeroed(&mut from), vec![FlowId(6)]);
+        assert!(zeroed(&mut to).is_empty());
+        to.take(moved);
+        assert_eq!(zeroed(&mut to), vec![FlowId(6)]);
+        from.take(keep);
+        assert_counts_sum(&from, &[6, 7]);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use simmetrics::{LatencyHistogram, QueueSample, QueueTrace, ThroughputMeter};
 use simtrace::{EventKind, TraceEvent, TraceHandle};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tcpstack::{Receiver, Sender, TcpAgent, TcpConfig};
+use tcpstack::{Receiver, ReceiverStats, Sender, SenderStats, TcpAgent, TcpConfig};
 
 /// Addresses a device in the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,7 @@ impl std::fmt::Debug for Port {
     }
 }
 
-/// A TCP endpoint living on a host.
+/// A TCP endpoint living on a host, or a vacated endpoint slot.
 ///
 /// `Sender` outweighs `Receiver` (~450 vs ~230 bytes); hosts hold a handful
 /// of endpoint slots driven by `&mut` on the per-packet path, so the inline
@@ -123,6 +123,10 @@ impl std::fmt::Debug for Port {
 enum Endpoint {
     Tx(Sender),
     Rx(Receiver),
+    /// The slot of a retired flow, on its host's free list until a new flow
+    /// takes it. It never has a deadline, so deadline-heap entries left for
+    /// the slot go stale and are discarded like any other.
+    Free,
 }
 
 impl Endpoint {
@@ -130,12 +134,23 @@ impl Endpoint {
         match self {
             Endpoint::Tx(s) => s,
             Endpoint::Rx(r) => r,
+            Endpoint::Free => unreachable!("a free endpoint slot was driven"),
         }
     }
     fn next_deadline(&self) -> Option<SimTime> {
         match self {
             Endpoint::Tx(s) => s.next_deadline(),
             Endpoint::Rx(r) => r.next_deadline(),
+            Endpoint::Free => None,
+        }
+    }
+    /// Whether the endpoint would let its flow retire: no deadline, no
+    /// queued output, and (for a sender) all data acknowledged.
+    fn is_idle(&self) -> bool {
+        match self {
+            Endpoint::Tx(s) => s.is_complete() && s.next_deadline().is_none() && !s.has_output(),
+            Endpoint::Rx(r) => r.next_deadline().is_none() && !r.has_output(),
+            Endpoint::Free => true,
         }
     }
 }
@@ -144,16 +159,19 @@ impl Endpoint {
 struct Host {
     nic: Port,
     /// Flow-id column of the endpoint table, parallel to `eps`: slot `i`'s
-    /// endpoint serves flow `ep_flow[i]`. Struct-of-arrays split so the hot
-    /// loops touch only the column they need — the per-ACK deadline re-arm
-    /// and outbox drains walk `eps` without dragging flow ids through the
-    /// cache, and completion checks read `ep_flow` without the endpoint.
-    /// Slots are appended in flow-creation order and never removed, so slot
-    /// order equals ascending [`FlowId`] order — the same iteration order
-    /// the original `BTreeMap<FlowId, Endpoint>` provided.
+    /// endpoint serves flow `ep_flow[i]` (`FlowId(0)` while the slot is
+    /// free). Struct-of-arrays split so the hot loops touch only the column
+    /// they need — the per-ACK deadline re-arm and outbox drains walk `eps`
+    /// without dragging flow ids through the cache, and completion checks
+    /// read `ep_flow` without the endpoint. A retired flow's slots go on
+    /// `free_slots` and are reused, so the table grows to the host's peak of
+    /// unretired flows, and slot order is not [`FlowId`] order: code that
+    /// must act in flow order (timer firing) sorts by `ep_flow`.
     ep_flow: Vec<FlowId>,
     /// Endpoint column, parallel to `ep_flow`.
     eps: Vec<Endpoint>,
+    /// Slots holding [`Endpoint::Free`], reused last-freed first.
+    free_slots: Vec<u32>,
     /// Lazy min-heap of `(deadline, endpoint slot)` candidates. An entry is
     /// pushed every time an endpoint is driven and reports a deadline; stale
     /// entries (the endpoint's deadline has since moved or cleared) are
@@ -165,14 +183,96 @@ struct Host {
     timer_scheduled: Option<SimTime>,
 }
 
+impl Host {
+    fn new(nic: Port) -> Host {
+        Host {
+            nic,
+            ep_flow: Vec::new(),
+            eps: Vec::new(),
+            free_slots: Vec::new(),
+            deadlines: BinaryHeap::new(),
+            timer_scheduled: None,
+        }
+    }
+
+    /// Place `flow`'s endpoint in a free slot, or a new one, and return the
+    /// slot. Keeps the deadline-heap invariant for the new endpoint.
+    fn attach(&mut self, flow: FlowId, ep: Endpoint) -> u32 {
+        let deadline = ep.next_deadline();
+        let idx = match self.free_slots.pop() {
+            Some(idx) => {
+                self.ep_flow[idx as usize] = flow;
+                self.eps[idx as usize] = ep;
+                idx
+            }
+            None => {
+                self.ep_flow.push(flow);
+                self.eps.push(ep);
+                (self.eps.len() - 1) as u32
+            }
+        };
+        if let Some(d) = deadline {
+            self.deadlines.push(Reverse((d, idx)));
+        }
+        idx
+    }
+
+    /// Vacate slot `idx` and return the endpoint that held it.
+    fn detach(&mut self, idx: u32) -> Endpoint {
+        self.ep_flow[idx as usize] = FlowId(0);
+        self.free_slots.push(idx);
+        std::mem::replace(&mut self.eps[idx as usize], Endpoint::Free)
+    }
+}
+
 /// Where a flow's two endpoints live: host index plus endpoint-slot index on
-/// that host. Indexed by `FlowId - 1` (ids are dense, starting at 1).
+/// that host ([`NO_SLOT`] when this network holds no such endpoint: a
+/// foreign host on a shard slice, or a retired flow). Indexed by
+/// `FlowId - 1` (ids are dense, starting at 1).
 #[derive(Debug, Clone, Copy)]
 struct FlowSlot {
     src_host: u32,
     tx_idx: u32,
     dst_host: u32,
     rx_idx: u32,
+    /// The flow's endpoints were freed (see [`Network::retire_flow`]).
+    retired: bool,
+}
+
+/// [`FlowSlot`] index meaning "no endpoint here".
+const NO_SLOT: u32 = u32::MAX;
+
+impl FlowSlot {
+    fn new(src: NodeId, dst: NodeId) -> FlowSlot {
+        FlowSlot {
+            src_host: src.0,
+            tx_idx: NO_SLOT,
+            dst_host: dst.0,
+            rx_idx: NO_SLOT,
+            retired: false,
+        }
+    }
+}
+
+/// What retired endpoints contributed to the network-wide totals, kept so
+/// [`Network::sender_stats_total`] and its siblings still count them after
+/// the endpoints are freed.
+#[derive(Debug, Clone, Default)]
+struct RetiredTotals {
+    /// Flows retired (counted where the sender lived).
+    flows: u64,
+    sender: SenderStats,
+    receiver: ReceiverStats,
+    bytes_received: u64,
+}
+
+impl RetiredTotals {
+    fn merge(&mut self, other: &RetiredTotals) {
+        self.flows += other.flows;
+        self.sender.merge(&other.sender);
+        self.receiver.merge(&other.receiver);
+        self.bytes_received += other.bytes_received;
+    }
 }
 
 /// Dense index for a flow id: ids start at 1, slabs at 0.
@@ -354,6 +454,8 @@ pub struct Network {
     deferred: Option<Vec<DeferredFlow>>,
     /// Flow records, indexed by `FlowId - 1` (ids are dense, allocated here).
     flows: Vec<FlowRecord>,
+    /// Records in `flows` with a completion time.
+    completed_count: usize,
     /// Endpoint locations, parallel to `flows`.
     flow_slots: Vec<FlowSlot>,
     /// Events generated since the last drain, each tagged with the lane of
@@ -372,6 +474,11 @@ pub struct Network {
     /// endpoint set — the seed allocated a fresh `Vec` per timer event.
     due_buf: Vec<u32>,
     completed: Vec<FlowId>,
+    /// Flows to test for retirement: completions recorded here since the
+    /// last check. The pool's zero reports join them at check time.
+    retire_check: Vec<FlowId>,
+    /// Counters of the endpoints retired on this network.
+    retired: RetiredTotals,
     latency_all: LatencyHistogram,
     latency_data: LatencyHistogram,
     latency_ack: LatencyHistogram,
@@ -487,19 +594,13 @@ fn build_two_tier(spec: &ClusterSpec) -> (Vec<Host>, Vec<Switch>) {
 
     let mut hosts = Vec::with_capacity(n);
     for h in 0..n {
-        hosts.push(Host {
-            nic: Port {
-                qdisc: Box::new(DropTail::new(spec.host_buffer_packets)),
-                link: spec.host_link,
-                peer: DevRef::Switch(spec.rack_of(h as u32)),
-                busy_until: SimTime::ZERO,
-                wakeup_armed: false,
-            },
-            ep_flow: Vec::new(),
-            eps: Vec::new(),
-            deadlines: BinaryHeap::new(),
-            timer_scheduled: None,
-        });
+        hosts.push(Host::new(Port {
+            qdisc: Box::new(DropTail::new(spec.host_buffer_packets)),
+            link: spec.host_link,
+            peer: DevRef::Switch(spec.rack_of(h as u32)),
+            busy_until: SimTime::ZERO,
+            wakeup_armed: false,
+        }));
     }
 
     const NO_ROUTE: RouteEntry = RouteEntry {
@@ -596,19 +697,13 @@ fn build_fat_tree(spec: &FatTreeSpec) -> (Vec<Host>, Vec<Switch>) {
 
     let mut hosts = Vec::with_capacity(n);
     for h in 0..n {
-        hosts.push(Host {
-            nic: Port {
-                qdisc: Box::new(DropTail::new(spec.host_buffer_packets)),
-                link: spec.host_link,
-                peer: DevRef::Switch(edge_of(h) as u32),
-                busy_until: SimTime::ZERO,
-                wakeup_armed: false,
-            },
-            ep_flow: Vec::new(),
-            eps: Vec::new(),
-            deadlines: BinaryHeap::new(),
-            timer_scheduled: None,
-        });
+        hosts.push(Host::new(Port {
+            qdisc: Box::new(DropTail::new(spec.host_buffer_packets)),
+            link: spec.host_link,
+            peer: DevRef::Switch(edge_of(h) as u32),
+            busy_until: SimTime::ZERO,
+            wakeup_armed: false,
+        }));
     }
 
     let port = |link: LinkSpec, peer: DevRef, next_seed: &mut dyn FnMut() -> u64| Port {
@@ -701,12 +796,15 @@ impl Network {
             sw_ids: Vec::new(),
             deferred: None,
             flows: Vec::new(),
+            completed_count: 0,
             flow_slots: Vec::new(),
             pending: Vec::new(),
             pool: PacketPool::new(),
             flush_buf: Vec::new(),
             due_buf: Vec::new(),
             completed: Vec::new(),
+            retire_check: Vec::new(),
+            retired: RetiredTotals::default(),
             latency_all: LatencyHistogram::new(),
             latency_data: LatencyHistogram::new(),
             latency_ack: LatencyHistogram::new(),
@@ -838,12 +936,7 @@ impl Network {
                 cfg,
                 now,
             });
-            self.flow_slots.push(FlowSlot {
-                src_host: src.0,
-                tx_idx: u32::MAX,
-                dst_host: dst.0,
-                rx_idx: u32::MAX,
-            });
+            self.flow_slots.push(FlowSlot::new(src, dst));
             self.flows.push(FlowRecord {
                 flow,
                 src,
@@ -858,26 +951,14 @@ impl Network {
         sender.set_trace(self.pkt_trace.clone());
         let receiver = Receiver::new(flow, dst, src, cfg);
 
-        let dst_h = &mut self.hosts[dst.0 as usize];
-        let rx_idx = dst_h.eps.len() as u32;
-        dst_h.ep_flow.push(flow);
-        dst_h.eps.push(Endpoint::Rx(receiver));
-        // Keep the deadline-heap invariant without flushing the receiving
-        // host (the original code did not flush it either).
-        if let Some(d) = dst_h.eps[rx_idx as usize].next_deadline() {
-            dst_h.deadlines.push(Reverse((d, rx_idx)));
-        }
-
-        let src_h = &mut self.hosts[src.0 as usize];
-        let tx_idx = src_h.eps.len() as u32;
-        src_h.ep_flow.push(flow);
-        src_h.eps.push(Endpoint::Tx(sender));
-
+        // The receiving host is not flushed (the original code did not
+        // flush it either); `attach` keeps its deadline heap valid.
+        let rx_idx = self.hosts[dst.0 as usize].attach(flow, Endpoint::Rx(receiver));
+        let tx_idx = self.hosts[src.0 as usize].attach(flow, Endpoint::Tx(sender));
         self.flow_slots.push(FlowSlot {
-            src_host: src.0,
             tx_idx,
-            dst_host: dst.0,
             rx_idx,
+            ..FlowSlot::new(src, dst)
         });
         self.flows.push(FlowRecord {
             flow,
@@ -992,7 +1073,8 @@ impl Network {
                 } else {
                     None
                 }
-            });
+            })
+            .filter(|&idx| idx != NO_SLOT);
         let Some(idx) = idx else {
             self.orphan_packets += 1;
             return;
@@ -1006,7 +1088,7 @@ impl Network {
         let ep = &mut host.eps[idx as usize];
         let goodput_before = match ep {
             Endpoint::Rx(rx) => Some(rx.bytes_received()),
-            Endpoint::Tx(_) => None,
+            _ => None,
         };
         ep.agent().on_segment(&packet, now);
         if let (Some(before), Endpoint::Rx(rx)) = (goodput_before, &*ep) {
@@ -1057,16 +1139,26 @@ impl Network {
                 due.push(idx);
             }
         }
-        // Slot order equals FlowId order, so endpoints fire in flow order.
-        due.sort_unstable();
+        // Endpoints fire in flow order. Reused slots do not follow flow
+        // order, so sort by flow id; one host holds at most one endpoint
+        // per flow, so equal keys are the same slot and `dedup` sees them
+        // adjacent.
+        let ep_flow = &host.ep_flow;
+        due.sort_unstable_by_key(|&i| ep_flow[i as usize]);
         due.dedup();
         debug_assert_eq!(
             due,
-            (0..host.eps.len() as u32)
-                .filter(|&i| host.eps[i as usize]
-                    .next_deadline()
-                    .is_some_and(|d| d <= now))
-                .collect::<Vec<_>>(),
+            {
+                let mut scan: Vec<u32> = (0..host.eps.len() as u32)
+                    .filter(|&i| {
+                        host.eps[i as usize]
+                            .next_deadline()
+                            .is_some_and(|d| d <= now)
+                    })
+                    .collect();
+                scan.sort_unstable_by_key(|&i| ep_flow[i as usize]);
+                scan
+            },
             "deadline heap and endpoint scan disagree on host {h}'s due set at {now:?}"
         );
         for &idx in &due {
@@ -1117,8 +1209,8 @@ impl Network {
     /// Drain the touched endpoints' outboxes into the host's NIC, update flow
     /// completion, and re-arm the host's timer event.
     ///
-    /// `touched` lists the endpoint slots driven since the last flush (in
-    /// ascending slot order). Untouched endpoints were drained when *they*
+    /// `touched` lists the endpoint slots driven since the last flush, in
+    /// ascending flow order. Untouched endpoints were drained when *they*
     /// were last driven, and enqueueing to the NIC never feeds an endpoint,
     /// so restricting the flush to the touched slots is behaviour-identical
     /// to draining every endpoint — without the O(endpoints) scan on every
@@ -1128,8 +1220,10 @@ impl Network {
         let Network {
             hosts,
             flows,
+            completed_count,
             pending,
             completed,
+            retire_check,
             flush_buf,
             pool,
             ..
@@ -1152,7 +1246,12 @@ impl Network {
                     let rec = &mut flows[flow_index(flow).expect("flow id 0 is invalid")];
                     if rec.completed.is_none() {
                         rec.completed = Some(s.completed_at().unwrap_or(now));
+                        *completed_count += 1;
                         completed.push(flow);
+                        // From now on the pool reports the flow's last
+                        // packet leaving; either event may retire it.
+                        pool.watch(flow);
+                        retire_check.push(flow);
                     }
                 }
             }
@@ -1236,12 +1335,15 @@ impl Network {
                 sw_ids: Vec::new(),
                 deferred: None,
                 flows: Vec::new(),
+                completed_count: 0,
                 flow_slots: Vec::new(),
                 pending: Vec::new(),
                 pool: PacketPool::new(),
                 flush_buf: Vec::new(),
                 due_buf: Vec::new(),
                 completed: Vec::new(),
+                retire_check: Vec::new(),
+                retired: RetiredTotals::default(),
                 latency_all: LatencyHistogram::new(),
                 latency_data: LatencyHistogram::new(),
                 latency_ack: LatencyHistogram::new(),
@@ -1298,10 +1400,12 @@ impl Network {
             // Safety net: every completion should already be synced by the
             // engine's mini-loops; copy any stragglers.
             for (i, rec) in sh.flows.iter().enumerate() {
-                if self.flows[i].completed.is_none() {
+                if self.flows[i].completed.is_none() && rec.completed.is_some() {
                     self.flows[i].completed = rec.completed;
+                    self.completed_count += 1;
                 }
             }
+            self.retired.merge(&sh.retired);
             traced |= !sh.host_qids.is_empty();
             for (i, host) in sh.hosts.into_iter().enumerate() {
                 let g = sh.host_ids[i] as usize;
@@ -1389,34 +1493,18 @@ impl Network {
             Some(self.flows.len()),
             "flows must be installed in id order"
         );
-        let mut slot = FlowSlot {
-            src_host: d.src.0,
-            tx_idx: u32::MAX,
-            dst_host: d.dst.0,
-            rx_idx: u32::MAX,
-        };
+        let mut slot = FlowSlot::new(d.src, d.dst);
         if self.owns_host(d.dst.0 as usize) {
             let receiver = Receiver::new(d.flow, d.dst, d.src, d.cfg.clone());
             let hi = self.hidx(d.dst.0);
-            let dst_h = &mut self.hosts[hi];
-            let rx_idx = dst_h.eps.len() as u32;
-            dst_h.ep_flow.push(d.flow);
-            dst_h.eps.push(Endpoint::Rx(receiver));
-            if let Some(dl) = dst_h.eps[rx_idx as usize].next_deadline() {
-                dst_h.deadlines.push(Reverse((dl, rx_idx)));
-            }
-            slot.rx_idx = rx_idx;
+            slot.rx_idx = self.hosts[hi].attach(d.flow, Endpoint::Rx(receiver));
         }
         let owns_src = self.owns_host(d.src.0 as usize);
         if owns_src {
             let mut sender = Sender::new(d.flow, d.src, d.dst, d.bytes, d.cfg.clone(), d.now);
             sender.set_trace(self.pkt_trace.clone());
             let hi = self.hidx(d.src.0);
-            let src_h = &mut self.hosts[hi];
-            let tx_idx = src_h.eps.len() as u32;
-            src_h.ep_flow.push(d.flow);
-            src_h.eps.push(Endpoint::Tx(sender));
-            slot.tx_idx = tx_idx;
+            slot.tx_idx = self.hosts[hi].attach(d.flow, Endpoint::Tx(sender));
         }
         self.flow_slots.push(slot);
         self.flows.push(FlowRecord {
@@ -1438,6 +1526,7 @@ impl Network {
         if let Some(rec) = flow_index(f).and_then(|i| self.flows.get_mut(i)) {
             if rec.completed.is_none() {
                 rec.completed = Some(at);
+                self.completed_count += 1;
             }
         }
     }
@@ -1464,6 +1553,130 @@ impl Network {
         let i = flow_index(f)?;
         let slot = self.flow_slots.get(i)?;
         Some((slot.src_host, self.flows[i].bytes))
+    }
+
+    // ----- retiring quiescent flows ----------------------------------------
+    //
+    // A finished flow's endpoints are freed once the flow is quiescent: the
+    // sender has completed, neither endpoint has a deadline or queued output,
+    // and no packet of the flow is alive in any packet pool. Nothing can
+    // then reach the endpoints again — they only act when a segment arrives
+    // or a deadline passes — so freeing them changes no output. Their
+    // counters fold into `retired`, and the slots go to the hosts' free
+    // lists for new flows. Both loops apply this one rule: the classic loop
+    // through [`Network::retire_quiescent`] after every event, the windowed
+    // engine at barriers and special instants with the live count summed
+    // over every shard's pool (a flow's packets can sit in a shard that
+    // owns neither endpoint).
+
+    /// The classic loop's retire step, run after every event: retire each
+    /// flow that completed, or whose last live packet left the pool, since
+    /// the last call, if it is now quiescent.
+    #[inline]
+    pub(crate) fn retire_quiescent(&mut self) {
+        if !self.retire_check.is_empty() || self.pool.has_zeroed() {
+            self.retire_checked();
+        }
+    }
+
+    fn retire_checked(&mut self) {
+        let mut check = std::mem::take(&mut self.retire_check);
+        self.pool.take_zeroed(&mut check);
+        for &f in &check {
+            if self.pool.flow_live(f) == 0 && self.endpoints_idle(f) {
+                self.retire_flow(f);
+            }
+        }
+        check.clear();
+        self.retire_check = check;
+    }
+
+    /// Move the flows this shard slice saw complete, and the watched flows
+    /// whose count in its pool reached zero, into `out` — the windowed
+    /// engine's retirement candidates.
+    pub(crate) fn take_retire_candidates(&mut self, out: &mut Vec<FlowId>) {
+        out.append(&mut self.retire_check);
+        self.pool.take_zeroed(out);
+    }
+
+    /// Start reporting `flow`'s zero transitions in this network's pool and
+    /// return its live packets there.
+    pub(crate) fn watch_flow(&mut self, flow: FlowId) -> u32 {
+        self.pool.watch(flow);
+        self.pool.flow_live(flow)
+    }
+
+    /// Whether every endpoint of `flow` held here is idle ([`Endpoint::is_idle`]).
+    /// False once the flow is retired, so a repeated candidate is a no-op.
+    pub(crate) fn endpoints_idle(&self, flow: FlowId) -> bool {
+        let Some(slot) = flow_index(flow).and_then(|i| self.flow_slots.get(i)) else {
+            return false;
+        };
+        let idle = |host: u32, idx: u32| {
+            idx == NO_SLOT || self.hosts[self.hidx(host)].eps[idx as usize].is_idle()
+        };
+        !slot.retired && idle(slot.src_host, slot.tx_idx) && idle(slot.dst_host, slot.rx_idx)
+    }
+
+    /// Free `flow`'s endpoints held here, fold their counters into the
+    /// retired totals and mark the flow retired. The caller has checked that
+    /// the flow is quiescent everywhere.
+    pub(crate) fn retire_flow(&mut self, flow: FlowId) {
+        let i = flow_index(flow).expect("flow id 0 is invalid");
+        let slot = self.flow_slots[i];
+        debug_assert!(!slot.retired, "flow {flow} retired twice");
+        if slot.tx_idx != NO_SLOT {
+            let hi = self.hidx(slot.src_host);
+            let Endpoint::Tx(s) = self.hosts[hi].detach(slot.tx_idx) else {
+                unreachable!("flow {flow}'s sender slot holds another endpoint")
+            };
+            self.retired.flows += 1;
+            self.retired.sender.merge(s.stats());
+        }
+        if slot.rx_idx != NO_SLOT {
+            let hi = self.hidx(slot.dst_host);
+            let Endpoint::Rx(r) = self.hosts[hi].detach(slot.rx_idx) else {
+                unreachable!("flow {flow}'s receiver slot holds another endpoint")
+            };
+            self.retired.receiver.merge(r.stats());
+            self.retired.bytes_received += r.bytes_received();
+        }
+        self.flow_slots[i] = FlowSlot {
+            retired: true,
+            ..FlowSlot::new(self.flows[i].src, self.flows[i].dst)
+        };
+    }
+
+    /// Release-mode packet conservation, checked at the end of every run:
+    /// each flow's live count in the pool equals its resident packets and
+    /// the counts sum to the pool's live count, and no retired flow has a
+    /// live packet. `shard` names this network in the panic (0 for the
+    /// classic loop).
+    pub(crate) fn check_packet_conservation(&self, shard: usize) {
+        if let Err(m) = self.pool.check_flow_counts() {
+            match m.flow {
+                Some(flow) => panic!(
+                    "packet conservation: shard {shard}'s pool counts {} live packets of \
+                     flow {flow} but holds {}",
+                    m.counted, m.resident
+                ),
+                None => panic!(
+                    "packet conservation: shard {shard}'s pool counts {} live packets \
+                     but holds {}",
+                    m.counted, m.resident
+                ),
+            }
+        }
+        for (i, slot) in self.flow_slots.iter().enumerate() {
+            let flow = FlowId(i as u64 + 1);
+            let live = self.pool.flow_live(flow);
+            if slot.retired && live != 0 {
+                panic!(
+                    "packet conservation: retired flow {flow} has {live} live \
+                     packets in shard {shard}'s pool"
+                );
+            }
+        }
     }
 
     // ----- draining by the sim loop -----------------------------------------
@@ -1543,12 +1756,31 @@ impl Network {
 
     /// Number of completed flows.
     pub fn completed_flows(&self) -> usize {
-        self.flows.iter().filter(|r| r.completed.is_some()).count()
+        self.completed_count
     }
 
     /// True when every started flow has completed.
     pub fn all_flows_complete(&self) -> bool {
-        self.flows.iter().all(|r| r.completed.is_some())
+        self.completed_count == self.flows.len()
+    }
+
+    /// Flows whose endpoints were freed once the flow was quiescent: the
+    /// sender complete, no deadline or queued output left on either
+    /// endpoint, and no packet of the flow left in any packet pool.
+    pub fn flows_retired(&self) -> u64 {
+        self.retired.flows
+    }
+
+    /// Endpoint slots ever allocated, summed over hosts. Retired flows'
+    /// slots are reused, so this tracks the peak of concurrently unretired
+    /// flows per host, not the total flow count.
+    pub fn endpoint_slots(&self) -> u64 {
+        self.hosts.iter().map(|h| h.eps.len() as u64).sum()
+    }
+
+    /// Endpoint slots ever allocated on one host.
+    pub fn host_endpoint_slots(&self, host: NodeId) -> usize {
+        self.hosts[self.hidx(host.0)].eps.len()
     }
 
     /// Latest flow completion time, if all are complete.
@@ -1586,55 +1818,45 @@ impl Network {
         PortStatsReport { total, ports }
     }
 
-    /// Per-sender transport statistics, aggregated.
-    pub fn sender_stats_total(&self) -> tcpstack::SenderStats {
-        let mut agg = tcpstack::SenderStats::default();
-        for host in &self.hosts {
-            for ep in &host.eps {
-                if let Endpoint::Tx(s) = ep {
-                    let st = s.stats();
-                    agg.data_segments_sent += st.data_segments_sent;
-                    agg.retransmits += st.retransmits;
-                    agg.fast_retransmits += st.fast_retransmits;
-                    agg.timeouts += st.timeouts;
-                    agg.syn_retransmits += st.syn_retransmits;
-                    agg.ece_acks += st.ece_acks;
-                    agg.ecn_reductions += st.ecn_reductions;
-                    agg.cc_fallbacks += st.cc_fallbacks;
-                }
+    fn endpoints(&self) -> impl Iterator<Item = &Endpoint> {
+        self.hosts.iter().flat_map(|h| h.eps.iter())
+    }
+
+    /// Per-sender transport statistics, aggregated over live and retired
+    /// senders.
+    pub fn sender_stats_total(&self) -> SenderStats {
+        let mut agg = self.retired.sender;
+        for ep in self.endpoints() {
+            if let Endpoint::Tx(s) = ep {
+                agg.merge(s.stats());
             }
         }
         agg
     }
 
-    /// Per-receiver transport statistics, aggregated.
-    pub fn receiver_stats_total(&self) -> tcpstack::ReceiverStats {
-        let mut agg = tcpstack::ReceiverStats::default();
-        for host in &self.hosts {
-            for ep in &host.eps {
-                if let Endpoint::Rx(r) = ep {
-                    let st = r.stats();
-                    agg.segments_received += st.segments_received;
-                    agg.ce_received += st.ce_received;
-                    agg.acks_sent += st.acks_sent;
-                    agg.ece_acks_sent += st.ece_acks_sent;
-                    agg.syn_acks_sent += st.syn_acks_sent;
-                }
+    /// Per-receiver transport statistics, aggregated over live and retired
+    /// receivers.
+    pub fn receiver_stats_total(&self) -> ReceiverStats {
+        let mut agg = self.retired.receiver;
+        for ep in self.endpoints() {
+            if let Endpoint::Rx(r) = ep {
+                agg.merge(r.stats());
             }
         }
         agg
     }
 
-    /// Sum of application bytes received across all receivers.
+    /// Sum of application bytes received across all receivers, live and
+    /// retired.
     pub fn total_bytes_received(&self) -> u64 {
-        self.hosts
-            .iter()
-            .flat_map(|h| h.eps.iter())
+        let live: u64 = self
+            .endpoints()
             .map(|ep| match ep {
                 Endpoint::Rx(r) => r.bytes_received(),
-                Endpoint::Tx(_) => 0,
+                _ => 0,
             })
-            .sum()
+            .sum();
+        self.retired.bytes_received + live
     }
 }
 
@@ -1667,6 +1889,30 @@ mod tests {
         assert_eq!(size_of::<Event>(), 16);
         assert_eq!(size_of::<ScheduledEvent<Event>>(), 32);
         assert_eq!(size_of::<(SimTime, u16, Event)>(), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "retired flow f1 has 1 live packets in shard 3's pool")]
+    fn conservation_check_names_a_retired_flow_with_a_live_packet() {
+        let spec = crate::ClusterSpec::single_rack(
+            2,
+            LinkSpec::gbps(1, 5),
+            ecn_core::QdiscSpec::DropTail {
+                capacity_packets: 10,
+            },
+            1,
+        );
+        let mut net = Network::new(spec);
+        let f = net.add_flow(
+            NodeId(0),
+            NodeId(1),
+            1_000,
+            TcpConfig::default(),
+            SimTime::ZERO,
+        );
+        net.check_packet_conservation(3); // the SYN is live and counted
+        net.flow_slots[flow_index(f).unwrap()].retired = true;
+        net.check_packet_conservation(3);
     }
 
     #[test]

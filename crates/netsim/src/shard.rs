@@ -25,6 +25,14 @@
 //! it was scheduled at least one lookahead before it fires). The mini-loop
 //! runs the identical code at every shard count — including one — which is
 //! what the determinism gate in CI byte-checks.
+//!
+//! Finished flows retire (their endpoints are freed, see
+//! [`Network::retire_flow`]) only while every shard is quiescent: at the
+//! loop head after a barrier or a special instant, and inside a special
+//! instant before the application hears of its completions. A flow's
+//! packets can sit in a shard that owns neither endpoint, so the live count
+//! is summed over every shard's pool, and every shard marks the flow
+//! retired.
 
 use crate::network::{dev_lane, DeferredFlow, DevRef, Event, Network};
 use crate::sim::{event_tie_lane, Application, RunReport, Simulation};
@@ -308,6 +316,34 @@ impl EpochWorker for NetShardWorker {
     }
 }
 
+/// Retire every candidate flow that is quiescent across the whole fabric:
+/// no packet of it in any shard's pool and every endpoint idle. The
+/// candidates are the flows that completed on a shard, or whose live count
+/// reached zero in a shard's pool, since the last call
+/// ([`Network::take_retire_candidates`]); `cands` is left empty. Every shard
+/// starts watching each candidate here, so a later zero transition anywhere
+/// brings a still-busy flow back. Shards must be quiescent: between windows,
+/// every outbox routed.
+fn retire_quiescent(crew: &mut CrewHandle<NetShardWorker>, cands: &mut Vec<FlowId>) {
+    if cands.is_empty() {
+        return;
+    }
+    cands.sort_unstable();
+    cands.dedup();
+    cands.retain(|&f| {
+        let mut quiet = true;
+        crew.for_each_worker(|_, w| {
+            let live = w.net.watch_flow(f);
+            quiet &= live == 0 && w.net.endpoints_idle(f);
+        });
+        quiet
+    });
+    for &f in cands.iter() {
+        crew.for_each_worker(|_, w| w.net.retire_flow(f));
+    }
+    cands.clear();
+}
+
 /// Drain the hull's pending buffer into the coordinator's app-timer queue.
 /// After a split the hull owns no devices, so the application can only have
 /// produced `AppTimer`s (flows defer separately).
@@ -343,6 +379,7 @@ fn install_hull_products(
 fn process_instant<A: Application>(
     crew: &mut CrewHandle<NetShardWorker>,
     app_q: &mut EventQueue<u64>,
+    retire: &mut Vec<FlowId>,
     net: &mut Network,
     app: &mut A,
     c: SimTime,
@@ -361,7 +398,13 @@ fn process_instant<A: Application>(
         // (b) Completions, globally ordered by flow id — the shard-count
         // invariant order (shard-ascending would vary with the partition).
         let mut comps: Vec<(FlowId, SimTime)> = Vec::new();
-        crew.for_each_worker(|_, w| comps.extend(w.drain_completions()));
+        crew.for_each_worker(|_, w| {
+            comps.extend(w.drain_completions());
+            w.net.take_retire_candidates(retire);
+        });
+        // Retire before the application hears of the completions, so flows
+        // it starts in response can take the finished flows' slots.
+        retire_quiescent(crew, retire);
         comps.sort_by_key(|&(f, _)| f);
         for (f, at) in comps {
             net.sync_completion(f, at);
@@ -454,6 +497,7 @@ impl<A: Application> Simulation<A> {
             }
             let mut clock = SimTime::ZERO;
             let mut app_events = 0u64;
+            let mut retire: Vec<FlowId> = Vec::new();
             let outcome = loop {
                 let t_min = match (crew.min_next_time(), app_q.peek_time()) {
                     (None, None) => break RunOutcome::Drained,
@@ -473,10 +517,22 @@ impl<A: Application> Simulation<A> {
                     if let Some(c) = w.next_candidate(t_min) {
                         special = Some(special.map_or(c, |s| s.min(c)));
                     }
+                    w.net.take_retire_candidates(&mut retire);
                 });
+                // Every shard is quiescent here: after a barrier or a
+                // special instant, with every outbox routed.
+                retire_quiescent(crew, &mut retire);
                 if special == Some(t_min) || lookahead.as_nanos() == 0 {
                     clock = t_min;
-                    if process_instant(crew, &mut app_q, net, app, t_min, &mut app_events) {
+                    if process_instant(
+                        crew,
+                        &mut app_q,
+                        &mut retire,
+                        net,
+                        app,
+                        t_min,
+                        &mut app_events,
+                    ) {
                         break RunOutcome::Stopped;
                     }
                 } else {
@@ -494,7 +550,8 @@ impl<A: Application> Simulation<A> {
         let mut last = clock;
         let mut peak_pending = 0usize;
         let mut shard_nets = Vec::with_capacity(workers.len());
-        for w in workers {
+        for (i, w) in workers.into_iter().enumerate() {
+            w.net.check_packet_conservation(i);
             events += w.events;
             last = last.max(w.last_event);
             peak_pending += w.peak_pending;
@@ -515,19 +572,13 @@ impl<A: Application> Simulation<A> {
             }
         }
 
-        RunReport {
-            outcome,
-            events,
-            end_time: if matches!(outcome, RunOutcome::TimeLimit) {
-                limit
-            } else {
-                last
-            },
-            flows_completed: net.completed_flows(),
-            app_done: app.done(net),
-            peak_pending,
-            delivered: net.latency().count(),
-        }
+        let end_time = if matches!(outcome, RunOutcome::TimeLimit) {
+            limit
+        } else {
+            last
+        };
+        let app_done = app.done(net);
+        RunReport::of(net, outcome, events, end_time, app_done, peak_pending)
     }
 }
 
@@ -537,9 +588,10 @@ mod tests {
     use crate::link::LinkSpec;
     use crate::sim::StaticFlows;
     use crate::topology::{ClusterSpec, FatTreeSpec};
-    use ecn_core::QdiscSpec;
+    use ecn_core::{ProtectionMode, QdiscSpec, RedConfig};
     use netpacket::NodeId;
-    use tcpstack::TcpConfig;
+    use simevent::SimDuration;
+    use tcpstack::{EcnMode, TcpConfig};
 
     fn two_tier(racks: u32, per_rack: u32) -> Topology {
         Topology::TwoTier(ClusterSpec {
@@ -614,19 +666,44 @@ mod tests {
         StaticFlows::new(flows)
     }
 
-    fn run_once(topo: Topology, shards: usize) -> (RunReport, Vec<u64>, u64, u64) {
-        let n = topo.total_hosts();
+    /// What one run computed, for cross-shard-count comparison.
+    #[derive(Debug, PartialEq)]
+    struct Outputs {
+        completions: Vec<u64>,
+        marked: u64,
+        latency_samples: u64,
+        events: u64,
+        end_time: SimTime,
+        senders: tcpstack::SenderStats,
+        receivers: tcpstack::ReceiverStats,
+        bytes_received: u64,
+    }
+
+    fn run_app(topo: Topology, app: StaticFlows, shards: usize) -> (RunReport, Outputs, Network) {
         let net = Network::from_topology(topo);
-        let mut sim = Simulation::new(net, all_to_one_flows(n, 50_000));
+        let mut sim = Simulation::new(net, app);
         let report = sim.run_sharded(shards);
-        let completions: Vec<u64> = sim
-            .net
-            .flows()
-            .map(|r| r.completed.expect("flow incomplete").as_nanos())
-            .collect();
-        let marked: u64 = sim.net.port_stats().total.marked.total();
-        let lat = sim.net.latency().count();
-        (report, completions, marked, lat)
+        let net = sim.net;
+        let out = Outputs {
+            completions: net
+                .flows()
+                .map(|r| r.completed.expect("flow incomplete").as_nanos())
+                .collect(),
+            marked: net.port_stats().total.marked.total(),
+            latency_samples: net.latency().count(),
+            events: report.events,
+            end_time: report.end_time,
+            senders: net.sender_stats_total(),
+            receivers: net.receiver_stats_total(),
+            bytes_received: net.total_bytes_received(),
+        };
+        (report, out, net)
+    }
+
+    fn run_once(topo: Topology, shards: usize) -> (RunReport, Outputs) {
+        let n = topo.total_hosts();
+        let (report, out, _) = run_app(topo, all_to_one_flows(n, 50_000), shards);
+        (report, out)
     }
 
     #[test]
@@ -635,11 +712,7 @@ mod tests {
         assert!(one.0.app_done, "baseline did not finish: {:?}", one.0);
         for shards in [2, 4] {
             let many = run_once(two_tier(4, 4), shards);
-            assert_eq!(one.1, many.1, "completion times diverged at {shards}");
-            assert_eq!(one.2, many.2, "mark counts diverged at {shards}");
-            assert_eq!(one.3, many.3, "latency samples diverged at {shards}");
-            assert_eq!(one.0.events, many.0.events, "event counts diverged");
-            assert_eq!(one.0.end_time, many.0.end_time);
+            assert_eq!(one.1, many.1, "outputs diverged at {shards} shards");
         }
     }
 
@@ -649,11 +722,85 @@ mod tests {
         assert!(one.0.app_done, "baseline did not finish: {:?}", one.0);
         for shards in [2, 3, 4] {
             let many = run_once(fat_tree(4), shards);
-            assert_eq!(one.1, many.1, "completion times diverged at {shards}");
-            assert_eq!(one.2, many.2, "mark counts diverged at {shards}");
-            assert_eq!(one.3, many.3, "latency samples diverged at {shards}");
-            assert_eq!(one.0.events, many.0.events, "event counts diverged");
-            assert_eq!(one.0.end_time, many.0.end_time);
+            assert_eq!(one.1, many.1, "outputs diverged at {shards} shards");
+        }
+    }
+
+    /// Staggered waves of short flows between racks 0 and 1 through the
+    /// paper's unprotected RED mimic: in each wave three rack-0 hosts send
+    /// to one rack-1 host while it sends to the fourth, whose ACKs meet the
+    /// congested port and are early-dropped, so some flows retire only after
+    /// recovering from a timeout. Later waves reuse the slots. At two shards
+    /// racks 0 and 1 are both on shard 0 but the core switch rides with
+    /// shard 1, so every packet crosses a shard that owns neither endpoint:
+    /// only the live count summed over both pools may retire a flow.
+    #[test]
+    fn sequential_flows_retire_identically_at_every_shard_count() {
+        const WAVES: u32 = 6;
+        const FLOWS: u32 = 4 * WAVES;
+        const STAGGER_US: u64 = 2_000;
+        let cfg = TcpConfig::with_ecn(EcnMode::Dctcp);
+        let flows: Vec<_> = (0..FLOWS)
+            .map(|i| {
+                let (wave, k) = (i / 4, i % 4);
+                let hot = NodeId(4 + wave % 2);
+                let (src, dst) = if k < 3 {
+                    (NodeId((wave + k) % 4), hot)
+                } else {
+                    (hot, NodeId((wave + 3) % 4))
+                };
+                let at = SimTime::from_micros(u64::from(wave) * STAGGER_US + u64::from(k));
+                (at, src, dst, 60_000 + u64::from(i) * 100, cfg.clone())
+            })
+            .collect();
+        let red_mimic = || match two_tier(4, 4) {
+            Topology::TwoTier(spec) => Topology::TwoTier(ClusterSpec {
+                switch_qdisc: QdiscSpec::Red(RedConfig::dctcp_mimic_deployed(
+                    SimDuration::from_micros(100),
+                    1_000_000_000,
+                    1526,
+                    100,
+                    ProtectionMode::Default,
+                )),
+                ..spec
+            }),
+            _ => unreachable!(),
+        };
+        let plan = ShardPlan::new(&two_tier(4, 4), 2);
+        assert_eq!(plan.host_shard[..8], [0; 8], "racks 0 and 1 on shard 0");
+        assert_eq!(plan.sw_shard[4], 1, "the core switch on shard 1");
+
+        let mut first: Option<(Outputs, u64)> = None;
+        for shards in [1, 2, 4] {
+            let (report, out, net) = run_app(red_mimic(), StaticFlows::new(flows.clone()), shards);
+            assert!(report.app_done, "{shards} shards: {report:?}");
+            assert_eq!(
+                report.flows_retired,
+                u64::from(FLOWS),
+                "{shards} shards: a flow kept its endpoints"
+            );
+            assert_eq!(net.orphan_packets(), 0);
+            assert_eq!(
+                out.bytes_received,
+                flows.iter().map(|f| f.3).sum::<u64>(),
+                "{shards} shards: retired receivers' bytes lost from the total"
+            );
+            assert!(
+                out.senders.timeouts > 0,
+                "{shards} shards: no flow timed out; loss recovery went unexercised"
+            );
+            assert!(
+                report.endpoint_slots <= u64::from(FLOWS),
+                "{shards} shards: {} endpoint slots for {FLOWS} flows",
+                report.endpoint_slots
+            );
+            match &first {
+                None => first = Some((out, report.endpoint_slots)),
+                Some((one, slots)) => {
+                    assert_eq!(*one, out, "outputs diverged at {shards} shards");
+                    assert_eq!(*slots, report.endpoint_slots, "slot reuse diverged");
+                }
+            }
         }
     }
 

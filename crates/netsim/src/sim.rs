@@ -42,6 +42,37 @@ pub struct RunReport {
     /// per-packet denominator that, unlike pool inserts, does not depend on
     /// how packets are stored along the way.
     pub delivered: u64,
+    /// Flows whose endpoints were freed once they finished
+    /// ([`Network::flows_retired`]).
+    pub flows_retired: u64,
+    /// Endpoint slots ever allocated, summed over hosts
+    /// ([`Network::endpoint_slots`]).
+    pub endpoint_slots: u64,
+}
+
+impl RunReport {
+    /// The report of a run that ended with `outcome` at `end_time`, with the
+    /// network-derived fields read from `net`.
+    pub(crate) fn of(
+        net: &Network,
+        outcome: RunOutcome,
+        events: u64,
+        end_time: SimTime,
+        app_done: bool,
+        peak_pending: usize,
+    ) -> RunReport {
+        RunReport {
+            outcome,
+            events,
+            end_time,
+            flows_completed: net.completed_flows(),
+            app_done,
+            peak_pending,
+            delivered: net.latency().count(),
+            flows_retired: net.flows_retired(),
+            endpoint_slots: net.endpoint_slots(),
+        }
+    }
 }
 
 /// Couples a [`Network`] with an [`Application`] and runs them to completion.
@@ -167,15 +198,14 @@ impl<A: Application> Simulation<A> {
             SimTime::ZERO,
         );
         if app.done(net) {
-            return RunReport {
-                outcome: RunOutcome::Stopped,
-                events: 0,
-                end_time: SimTime::ZERO,
-                flows_completed: net.completed_flows(),
-                app_done: true,
-                peak_pending: sched.peak_pending(),
-                delivered: net.latency().count(),
-            };
+            return RunReport::of(
+                net,
+                RunOutcome::Stopped,
+                0,
+                SimTime::ZERO,
+                true,
+                sched.peak_pending(),
+            );
         }
 
         let (outcome, stats) = sched.run(|sched, now, ev| {
@@ -187,6 +217,9 @@ impl<A: Application> Simulation<A> {
                 }
                 other => net.handle(other, now),
             }
+            // Before the application hears of a completion, so a flow it
+            // starts in response can take the finished flow's slots.
+            net.retire_quiescent();
             for f in net.take_completed() {
                 app.on_flow_complete(f, net, now);
             }
@@ -194,15 +227,15 @@ impl<A: Application> Simulation<A> {
             !app.done(net)
         });
 
-        RunReport {
+        net.check_packet_conservation(0);
+        RunReport::of(
+            net,
             outcome,
-            events: stats.events_processed,
-            end_time: stats.end_time,
-            flows_completed: net.completed_flows(),
-            app_done: app.done(net),
-            peak_pending: sched.peak_pending(),
-            delivered: net.latency().count(),
-        }
+            stats.events_processed,
+            stats.end_time,
+            app.done(net),
+            sched.peak_pending(),
+        )
     }
 }
 

@@ -117,8 +117,16 @@ impl SimDuration {
 
     /// The time it takes to serialise `bytes` onto a link of `bits_per_sec`,
     /// rounded up to the next nanosecond so transmission never takes zero time.
+    ///
+    /// Exact in every case. Packet-sized inputs take a `u64` division; the
+    /// `u128` one (a `__udivti3` call on x86-64, visible in profiles when it
+    /// ran per packet hop) is left for byte counts whose bit-nanosecond
+    /// product overflows `u64`.
     pub fn transmission(bytes: u64, bits_per_sec: u64) -> Self {
         assert!(bits_per_sec > 0, "link rate must be positive");
+        if let Some(bit_ns) = bytes.checked_mul(8_000_000_000) {
+            return SimDuration(bit_ns.div_ceil(bits_per_sec));
+        }
         let bits = bytes as u128 * 8;
         let ns = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
         assert!(ns <= u64::MAX as u128, "transmission time overflows");
@@ -278,6 +286,36 @@ mod tests {
         let d = SimDuration::transmission(1, 3);
         assert_eq!(d.as_nanos(), 2_666_666_667);
         assert!(SimDuration::transmission(1, u64::MAX / 8).as_nanos() > 0);
+    }
+
+    #[test]
+    fn transmission_is_exact_on_both_sides_of_the_u64_boundary() {
+        // The largest byte count whose bit-nanosecond product fits in u64
+        // takes the u64 path, the next one the u128 path; both must equal
+        // the u128 reference.
+        let reference =
+            |bytes: u64, rate: u64| (bytes as u128 * 8_000_000_000).div_ceil(rate as u128) as u64;
+        let edge = u64::MAX / 8_000_000_000;
+        for bytes in [edge - 1, edge, edge + 1, edge + 2] {
+            for rate in [2, 3, 1_000_000_000, 9_999_999_967, u64::MAX] {
+                assert_eq!(
+                    SimDuration::transmission(bytes, rate).as_nanos(),
+                    reference(bytes, rate),
+                    "{bytes} bytes at {rate} b/s"
+                );
+            }
+        }
+        assert_eq!(
+            SimDuration::transmission(edge, 1).as_nanos(),
+            edge * 8_000_000_000
+        );
+        assert!((edge + 1).checked_mul(8_000_000_000).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "transmission time overflows")]
+    fn transmission_overflow_still_panics() {
+        let _ = SimDuration::transmission(u64::MAX, 1);
     }
 
     #[test]

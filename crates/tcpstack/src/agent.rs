@@ -35,6 +35,9 @@ pub trait TcpAgent: std::fmt::Debug + Send {
         out.append(&mut self.take_outbox());
     }
 
+    /// True while packets wait in the outbox.
+    fn has_output(&self) -> bool;
+
     /// True when this endpoint's job is done (sender: all data acked).
     fn is_complete(&self) -> bool;
 }

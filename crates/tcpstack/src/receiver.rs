@@ -22,6 +22,24 @@ pub struct ReceiverStats {
     pub syn_acks_sent: u64,
 }
 
+impl ReceiverStats {
+    /// Add `other`'s counters to these (network-wide totals).
+    pub fn merge(&mut self, other: &ReceiverStats) {
+        let ReceiverStats {
+            segments_received,
+            ce_received,
+            acks_sent,
+            ece_acks_sent,
+            syn_acks_sent,
+        } = *other;
+        self.segments_received += segments_received;
+        self.ce_received += ce_received;
+        self.acks_sent += acks_sent;
+        self.ece_acks_sent += ece_acks_sent;
+        self.syn_acks_sent += syn_acks_sent;
+    }
+}
+
 /// The passive end of a connection: pre-attached like an NS-2 sink, it
 /// replies to the SYN, acknowledges data cumulatively, and echoes congestion
 /// per the configured [`EcnMode`].
@@ -311,6 +329,10 @@ impl TcpAgent for Receiver {
 
     fn drain_outbox_into(&mut self, out: &mut Vec<Packet>) {
         out.append(&mut self.outbox);
+    }
+
+    fn has_output(&self) -> bool {
+        !self.outbox.is_empty()
     }
 
     fn is_complete(&self) -> bool {

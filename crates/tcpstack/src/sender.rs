@@ -36,6 +36,30 @@ pub struct SenderStats {
     pub cc_fallbacks: u64,
 }
 
+impl SenderStats {
+    /// Add `other`'s counters to these (network-wide totals).
+    pub fn merge(&mut self, other: &SenderStats) {
+        let SenderStats {
+            data_segments_sent,
+            retransmits,
+            fast_retransmits,
+            timeouts,
+            syn_retransmits,
+            ece_acks,
+            ecn_reductions,
+            cc_fallbacks,
+        } = *other;
+        self.data_segments_sent += data_segments_sent;
+        self.retransmits += retransmits;
+        self.fast_retransmits += fast_retransmits;
+        self.timeouts += timeouts;
+        self.syn_retransmits += syn_retransmits;
+        self.ece_acks += ece_acks;
+        self.ecn_reductions += ecn_reductions;
+        self.cc_fallbacks += cc_fallbacks;
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// SYN sent, waiting for SYN-ACK.
@@ -834,6 +858,10 @@ impl TcpAgent for Sender {
 
     fn drain_outbox_into(&mut self, out: &mut Vec<Packet>) {
         out.append(&mut self.outbox);
+    }
+
+    fn has_output(&self) -> bool {
+        !self.outbox.is_empty()
     }
 
     fn is_complete(&self) -> bool {
