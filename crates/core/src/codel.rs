@@ -2,16 +2,12 @@
 //! protection modes — demonstrating that the non-ECT early-drop pathology,
 //! and its fix, are properties of *any* ECN-enabled AQM, not just RED.
 
-use crate::fifo::{drop_packet, kinds};
+use crate::fifo::{kinds, signal_head, Fifo};
+use crate::protection::Verdict;
 use crate::ProtectionMode;
-use netpacket::{
-    packet_event, ConservationCheck, EnqueueOutcome, PacketKind, PacketPool, PacketRef,
-    QueueDiscipline, QueueStats,
-};
+use netpacket::{EnqueueOutcome, PacketPool, PacketRef, QueueCore, QueueDiscipline};
 use serde::{Deserialize, Serialize};
 use simevent::{SimDuration, SimTime};
-use simtrace::{EventKind, TraceHandle, NO_QUEUE};
-use std::collections::VecDeque;
 
 /// Configuration for [`CoDel`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,17 +62,13 @@ impl CoDelConfig {
 #[derive(Debug)]
 pub struct CoDel {
     cfg: CoDelConfig,
-    /// Resident handles, each with its enqueue time for sojourn marking.
-    queue: VecDeque<(PacketRef, SimTime)>,
-    bytes: u64,
-    stats: QueueStats,
+    /// Resident handles, each stamped with its enqueue time.
+    fifo: Fifo<SimTime>,
+    core: QueueCore,
     first_above: Option<SimTime>,
     dropping: bool,
     drop_next: SimTime,
     count: u32,
-    conserve: ConservationCheck,
-    trace: TraceHandle,
-    trace_q: u32,
 }
 
 impl CoDel {
@@ -85,16 +77,12 @@ impl CoDel {
         cfg.validate();
         CoDel {
             cfg,
-            queue: VecDeque::new(),
-            bytes: 0,
-            stats: QueueStats::default(),
+            fifo: Fifo::new(),
+            core: QueueCore::new("CoDel"),
             first_above: None,
             dropping: false,
             drop_next: SimTime::ZERO,
             count: 0,
-            conserve: ConservationCheck::default(),
-            trace: TraceHandle::null(),
-            trace_q: NO_QUEUE,
         }
     }
 
@@ -114,16 +102,10 @@ impl CoDel {
         self.cfg.interval.mul_f64(1.0 / div)
     }
 
-    fn pop_raw(&mut self, pool: &PacketPool) -> Option<(PacketRef, SimTime)> {
-        let (r, t) = self.queue.pop_front()?;
-        self.bytes -= pool.get(r).wire_bytes() as u64;
-        Some((r, t))
-    }
-
     /// Is the head packet's sojourn persistently above target?
     /// Returns (packet, ok_to_signal), or None when empty.
-    fn dodeque(&mut self, pool: &PacketPool, now: SimTime) -> Option<(PacketRef, bool)> {
-        let (r, enq) = self.pop_raw(pool)?;
+    fn dodeque(&mut self, now: SimTime) -> Option<(PacketRef, bool)> {
+        let (r, enq) = self.fifo.pop()?;
         let sojourn = now.since(enq);
         if sojourn < self.cfg.target {
             self.first_above = None;
@@ -141,39 +123,15 @@ impl CoDel {
     /// Apply the congestion signal to the packet behind `r`: returns the
     /// handle to deliver (marked or protected) or `None` if it was dropped.
     fn signal(&mut self, r: PacketRef, pool: &mut PacketPool, now: SimTime) -> Option<PacketRef> {
-        let p = pool.get_mut(r);
-        if self.cfg.ecn && p.is_ect() {
-            p.ecn = p.ecn.marked();
-            self.stats.marked.bump(PacketKind::of(p));
-            if self.trace.is_enabled() {
-                self.trace
-                    .emit(packet_event(EventKind::Marked, now, self.trace_q, p));
-            }
-            return Some(r);
-        }
-        if self.cfg.ecn && self.cfg.protection.protects(p) {
-            return Some(r); // the paper's modification, applied to CoDel
-        }
-        self.conserve.on_drop_resident(p.wire_bytes());
-        // CoDel's early drop happens at dequeue time (head drop), so the
-        // event's stamp is the dequeue decision, not the arrival.
-        drop_packet(
-            pool,
-            r,
-            &mut self.stats.dropped_early,
-            &self.trace,
-            self.trace_q,
-            EventKind::DroppedEarly,
-            now,
-        );
-        None
+        let verdict = self.cfg.protection.resolve(pool.get(r), self.cfg.ecn, true);
+        signal_head(&mut self.core, r, pool, verdict, now)
     }
 
     /// The CoDel control-law dequeue loop. Returns the packet to deliver;
     /// the caller records delivery stats exactly once.
     fn dequeue_inner(&mut self, pool: &mut PacketPool, now: SimTime) -> Option<PacketRef> {
         loop {
-            let Some((r, ok)) = self.dodeque(pool, now) else {
+            let Some((r, ok)) = self.dodeque(now) else {
                 // The queue drained empty: the congestion episode is over.
                 // `first_above` must not survive the idle period — a stale
                 // deadline would make the first above-target sojourn of the
@@ -223,67 +181,28 @@ impl CoDel {
 
 impl QueueDiscipline for CoDel {
     fn enqueue(&mut self, r: PacketRef, pool: &mut PacketPool, now: SimTime) -> EnqueueOutcome {
-        if self.queue.len() as u64 >= self.cfg.capacity_packets {
-            drop_packet(
-                pool,
-                r,
-                &mut self.stats.dropped_full,
-                &self.trace,
-                self.trace_q,
-                EventKind::DroppedFull,
-                now,
-            );
-            return EnqueueOutcome::DroppedFull;
+        if self.fifo.len() >= self.cfg.capacity_packets {
+            return self.core.tail_drop(r, pool, now);
         }
-        let packet = pool.get(r);
-        if self.trace.is_enabled() {
-            self.trace
-                .emit(packet_event(EventKind::Enqueued, now, self.trace_q, packet));
-        }
-        let kind = PacketKind::of(packet);
-        let bytes = packet.wire_bytes();
-        self.bytes += bytes as u64;
-        self.queue.push_back((r, now));
-        self.conserve.on_admit(bytes);
-        self.stats
-            .on_enqueue(kind, bytes, false, self.queue.len() as u64, self.bytes);
-        self.debug_verify_conservation();
-        EnqueueOutcome::Enqueued
+        self.fifo
+            .offer(&mut self.core, r, now, pool, Verdict::Keep, now)
     }
 
     fn dequeue(&mut self, pool: &mut PacketPool, now: SimTime) -> Option<PacketRef> {
-        let delivered = self.dequeue_inner(pool, now);
-        if let Some(r) = delivered {
-            let p = pool.get(r);
-            self.conserve.on_deliver(p.wire_bytes());
-            self.stats.on_dequeue(PacketKind::of(p), p.wire_bytes());
-            if self.trace.is_enabled() {
-                self.trace
-                    .emit(packet_event(EventKind::Dequeued, now, self.trace_q, p));
-            }
-        }
-        self.debug_verify_conservation();
-        delivered
+        let r = self.dequeue_inner(pool, now)?;
+        Some(self.core.deliver(r, pool, now))
     }
 
     fn len_packets(&self) -> u64 {
-        self.queue.len() as u64
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.bytes
+        self.fifo.len()
     }
 
     fn capacity_packets(&self) -> u64 {
         self.cfg.capacity_packets
     }
 
-    fn stats(&self) -> &QueueStats {
-        &self.stats
-    }
-
     fn snapshot_kinds(&self, pool: &PacketPool) -> [u64; 6] {
-        kinds(self.queue.iter().map(|&(r, _)| pool.get(r)))
+        kinds(self.fifo.iter(pool))
     }
 
     fn name(&self) -> String {
@@ -296,14 +215,12 @@ impl QueueDiscipline for CoDel {
         )
     }
 
-    fn debug_verify_conservation(&self) {
-        self.conserve
-            .verify("CoDel", &self.stats, self.queue.len() as u64, self.bytes);
+    fn core(&self) -> &QueueCore {
+        &self.core
     }
 
-    fn set_trace(&mut self, trace: TraceHandle, queue: u32) {
-        self.trace = trace;
-        self.trace_q = queue;
+    fn core_mut(&mut self) -> &mut QueueCore {
+        &mut self.core
     }
 }
 
@@ -311,7 +228,7 @@ impl QueueDiscipline for CoDel {
 mod tests {
     use super::*;
     use crate::testkit::Pooled;
-    use netpacket::{EcnCodepoint, FlowId, NodeId, Packet, PacketId, TcpFlags};
+    use netpacket::{EcnCodepoint, FlowId, NodeId, Packet, PacketId, PacketKind, TcpFlags};
 
     fn data(id: u64, ecn: EcnCodepoint) -> Packet {
         Packet {

@@ -1,13 +1,10 @@
 //! Curvy RED (Briscoe) with ECN and the paper's protection modes.
 
 use crate::config::CurvyRedConfig;
-use crate::fifo::{drop_packet, kinds, Fifo};
-use netpacket::{
-    packet_event, ConservationCheck, EnqueueOutcome, PacketKind, PacketPool, PacketRef,
-    QueueDiscipline, QueueStats,
-};
+use crate::fifo::{kinds, Fifo};
+use crate::protection::Verdict;
+use netpacket::{EnqueueOutcome, PacketPool, PacketRef, QueueCore, QueueDiscipline};
 use simevent::{SimRng, SimTime};
-use simtrace::{EventKind, TraceHandle, NO_QUEUE};
 use std::collections::VecDeque;
 
 /// Curvy RED: power-law marking on the **instantaneous** queue.
@@ -35,13 +32,10 @@ use std::collections::VecDeque;
 pub struct CurvyRed {
     cfg: CurvyRedConfig,
     fifo: Fifo,
-    stats: QueueStats,
-    conserve: ConservationCheck,
+    core: QueueCore,
     rng: SimRng,
     /// Ring of the most recent `2u` uniform draws (the "cached randoms").
     recent: VecDeque<f64>,
-    trace: TraceHandle,
-    trace_q: u32,
 }
 
 impl CurvyRed {
@@ -53,12 +47,9 @@ impl CurvyRed {
         CurvyRed {
             cfg,
             fifo: Fifo::new(),
-            stats: QueueStats::default(),
-            conserve: ConservationCheck::default(),
+            core: QueueCore::new("CurvyRED"),
             rng: SimRng::new(seed),
             recent: VecDeque::with_capacity(depth),
-            trace: TraceHandle::null(),
-            trace_q: NO_QUEUE,
         }
     }
 
@@ -86,111 +77,42 @@ impl CurvyRed {
         }
         self.recent.iter().rev().take(n as usize).all(|&r| r < x)
     }
-
-    /// Admit the packet behind `r`, CE-marking it in place when `mark`.
-    fn accept(
-        &mut self,
-        r: PacketRef,
-        pool: &mut PacketPool,
-        mark: bool,
-        now: SimTime,
-    ) -> EnqueueOutcome {
-        let packet = pool.get_mut(r);
-        let kind = PacketKind::of(packet);
-        if mark {
-            packet.ecn = packet.ecn.marked();
-        }
-        if self.trace.is_enabled() {
-            if mark {
-                self.trace
-                    .emit(packet_event(EventKind::Marked, now, self.trace_q, packet));
-            }
-            self.trace
-                .emit(packet_event(EventKind::Enqueued, now, self.trace_q, packet));
-        }
-        let bytes = packet.wire_bytes();
-        self.fifo.push(r, bytes);
-        self.conserve.on_admit(bytes);
-        self.stats
-            .on_enqueue(kind, bytes, mark, self.fifo.len(), self.fifo.bytes());
-        self.debug_verify_conservation();
-        if mark {
-            EnqueueOutcome::EnqueuedMarked
-        } else {
-            EnqueueOutcome::Enqueued
-        }
-    }
 }
 
 impl QueueDiscipline for CurvyRed {
     fn enqueue(&mut self, r: PacketRef, pool: &mut PacketPool, now: SimTime) -> EnqueueOutcome {
         if self.fifo.len() >= self.cfg.capacity_packets {
-            drop_packet(
-                pool,
-                r,
-                &mut self.stats.dropped_full,
-                &self.trace,
-                self.trace_q,
-                EventKind::DroppedFull,
-                now,
-            );
-            return EnqueueOutcome::DroppedFull;
+            return self.core.tail_drop(r, pool, now);
         }
         self.push_draw();
         let u = self.cfg.mark_exponent;
         let packet = pool.get(r);
-        if self.cfg.ecn && packet.is_ect() {
-            let mark = self.curve_selects(u);
-            return self.accept(r, pool, mark, now);
-        }
-        // Non-ECT (or ECN disabled): the drop curve, exponent 2u.
-        if !self.curve_selects(2 * u) {
-            return self.accept(r, pool, false, now);
-        }
-        if self.cfg.ecn && self.cfg.protection.protects(packet) {
-            // The paper's modification: protected non-ECT packets are admitted
-            // unmarked instead of early-dropped.
-            return self.accept(r, pool, false, now);
-        }
-        drop_packet(
-            pool,
-            r,
-            &mut self.stats.dropped_early,
-            &self.trace,
-            self.trace_q,
-            EventKind::DroppedEarly,
-            now,
-        );
-        EnqueueOutcome::DroppedEarly
+        // ECT traffic under ECN follows the mark curve (exponent u); the
+        // rest follows the drop curve (exponent 2u).
+        let exponent = if self.cfg.ecn && packet.is_ect() {
+            u
+        } else {
+            2 * u
+        };
+        let verdict = if self.curve_selects(exponent) {
+            self.cfg.protection.resolve(packet, self.cfg.ecn, true)
+        } else {
+            Verdict::Keep
+        };
+        self.fifo.offer(&mut self.core, r, (), pool, verdict, now)
     }
 
     fn dequeue(&mut self, pool: &mut PacketPool, now: SimTime) -> Option<PacketRef> {
-        let r = self.fifo.pop(pool)?;
-        let p = pool.get(r);
-        self.conserve.on_deliver(p.wire_bytes());
-        self.stats.on_dequeue(PacketKind::of(p), p.wire_bytes());
-        if self.trace.is_enabled() {
-            self.trace
-                .emit(packet_event(EventKind::Dequeued, now, self.trace_q, p));
-        }
-        self.debug_verify_conservation();
-        Some(r)
+        let (r, ()) = self.fifo.pop()?;
+        Some(self.core.deliver(r, pool, now))
     }
 
     fn len_packets(&self) -> u64 {
         self.fifo.len()
     }
 
-    fn len_bytes(&self) -> u64 {
-        self.fifo.bytes()
-    }
-
     fn capacity_packets(&self) -> u64 {
         self.cfg.capacity_packets
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
     }
 
     fn snapshot_kinds(&self, pool: &PacketPool) -> [u64; 6] {
@@ -208,14 +130,12 @@ impl QueueDiscipline for CurvyRed {
         )
     }
 
-    fn debug_verify_conservation(&self) {
-        self.conserve
-            .verify("CurvyRED", &self.stats, self.fifo.len(), self.fifo.bytes());
+    fn core(&self) -> &QueueCore {
+        &self.core
     }
 
-    fn set_trace(&mut self, trace: TraceHandle, queue: u32) {
-        self.trace = trace;
-        self.trace_q = queue;
+    fn core_mut(&mut self) -> &mut QueueCore {
+        &mut self.core
     }
 }
 
@@ -224,7 +144,7 @@ mod tests {
     use super::*;
     use crate::testkit::Pooled;
     use crate::ProtectionMode;
-    use netpacket::{EcnCodepoint, FlowId, NodeId, Packet, PacketId, TcpFlags};
+    use netpacket::{EcnCodepoint, FlowId, NodeId, Packet, PacketId, PacketKind, TcpFlags};
 
     fn data(id: u64, ecn: EcnCodepoint) -> Packet {
         Packet {

@@ -1,12 +1,9 @@
 //! Plain FIFO tail-drop — the paper's normalisation baseline.
 
-use crate::fifo::{drop_packet, kinds, Fifo};
-use netpacket::{
-    packet_event, ConservationCheck, EnqueueOutcome, Packet, PacketKind, PacketPool, PacketRef,
-    QueueDiscipline, QueueStats,
-};
+use crate::fifo::{kinds, Fifo};
+use crate::protection::Verdict;
+use netpacket::{EnqueueOutcome, Packet, PacketPool, PacketRef, QueueCore, QueueDiscipline};
 use simevent::SimTime;
-use simtrace::{EventKind, TraceHandle, NO_QUEUE};
 
 /// A DropTail queue: accept until the packet buffer is full, then drop.
 ///
@@ -20,10 +17,7 @@ use simtrace::{EventKind, TraceHandle, NO_QUEUE};
 pub struct DropTail {
     fifo: Fifo,
     capacity_packets: u64,
-    stats: QueueStats,
-    conserve: ConservationCheck,
-    trace: TraceHandle,
-    trace_q: u32,
+    core: QueueCore,
 }
 
 impl DropTail {
@@ -33,10 +27,7 @@ impl DropTail {
         DropTail {
             fifo: Fifo::new(),
             capacity_packets,
-            stats: QueueStats::default(),
-            conserve: ConservationCheck::default(),
-            trace: TraceHandle::null(),
-            trace_q: NO_QUEUE,
+            core: QueueCore::new("DropTail"),
         }
     }
 
@@ -50,59 +41,23 @@ impl DropTail {
 impl QueueDiscipline for DropTail {
     fn enqueue(&mut self, r: PacketRef, pool: &mut PacketPool, now: SimTime) -> EnqueueOutcome {
         if self.fifo.len() >= self.capacity_packets {
-            drop_packet(
-                pool,
-                r,
-                &mut self.stats.dropped_full,
-                &self.trace,
-                self.trace_q,
-                EventKind::DroppedFull,
-                now,
-            );
-            return EnqueueOutcome::DroppedFull;
+            return self.core.tail_drop(r, pool, now);
         }
-        let packet = pool.get(r);
-        if self.trace.is_enabled() {
-            self.trace
-                .emit(packet_event(EventKind::Enqueued, now, self.trace_q, packet));
-        }
-        let kind = PacketKind::of(packet);
-        let bytes = packet.wire_bytes();
-        self.fifo.push(r, bytes);
-        self.conserve.on_admit(bytes);
-        self.stats
-            .on_enqueue(kind, bytes, false, self.fifo.len(), self.fifo.bytes());
-        self.debug_verify_conservation();
-        EnqueueOutcome::Enqueued
+        self.fifo
+            .offer(&mut self.core, r, (), pool, Verdict::Keep, now)
     }
 
     fn dequeue(&mut self, pool: &mut PacketPool, now: SimTime) -> Option<PacketRef> {
-        let r = self.fifo.pop(pool)?;
-        let p = pool.get(r);
-        self.conserve.on_deliver(p.wire_bytes());
-        self.stats.on_dequeue(PacketKind::of(p), p.wire_bytes());
-        if self.trace.is_enabled() {
-            self.trace
-                .emit(packet_event(EventKind::Dequeued, now, self.trace_q, p));
-        }
-        self.debug_verify_conservation();
-        Some(r)
+        let (r, ()) = self.fifo.pop()?;
+        Some(self.core.deliver(r, pool, now))
     }
 
     fn len_packets(&self) -> u64 {
         self.fifo.len()
     }
 
-    fn len_bytes(&self) -> u64 {
-        self.fifo.bytes()
-    }
-
     fn capacity_packets(&self) -> u64 {
         self.capacity_packets
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
     }
 
     fn snapshot_kinds(&self, pool: &PacketPool) -> [u64; 6] {
@@ -113,14 +68,12 @@ impl QueueDiscipline for DropTail {
         format!("DropTail(cap={})", self.capacity_packets)
     }
 
-    fn debug_verify_conservation(&self) {
-        self.conserve
-            .verify("DropTail", &self.stats, self.fifo.len(), self.fifo.bytes());
+    fn core(&self) -> &QueueCore {
+        &self.core
     }
 
-    fn set_trace(&mut self, trace: TraceHandle, queue: u32) {
-        self.trace = trace;
-        self.trace_q = queue;
+    fn core_mut(&mut self) -> &mut QueueCore {
+        &mut self.core
     }
 }
 

@@ -2,14 +2,10 @@
 //! the classic queue.
 
 use crate::config::DualQConfig;
-use crate::fifo::{drop_packet, kinds};
-use netpacket::{
-    packet_event, ConservationCheck, EnqueueOutcome, PacketKind, PacketPool, PacketRef,
-    QueueDiscipline, QueueStats,
-};
+use crate::fifo::{kinds, signal_head, Fifo};
+use crate::protection::Verdict;
+use netpacket::{EnqueueOutcome, PacketPool, PacketRef, QueueCore, QueueDiscipline};
 use simevent::SimTime;
-use simtrace::{EventKind, TraceHandle, NO_QUEUE};
-use std::collections::VecDeque;
 
 /// Past this many elapsed `Tupdate` periods the lazy timer resets the PI
 /// state instead of replaying the idle gap step by step.
@@ -55,13 +51,10 @@ const IDLE_RESET_STEPS: u64 = 64;
 pub struct DualQ {
     cfg: DualQConfig,
     /// Classic queue: resident handles with arrival stamps.
-    cq: VecDeque<(PacketRef, SimTime)>,
+    cq: Fifo<SimTime>,
     /// L4S (low-latency) queue: resident handles with arrival stamps.
-    lq: VecDeque<(PacketRef, SimTime)>,
-    c_bytes: u64,
-    l_bytes: u64,
-    stats: QueueStats,
-    conserve: ConservationCheck,
+    lq: Fifo<SimTime>,
+    core: QueueCore,
     /// PI base probability `p'`.
     p_base: f64,
     /// Previous update's delay sample, in seconds.
@@ -70,8 +63,6 @@ pub struct DualQ {
     c_recur: f64,
     l_recur: f64,
     last_update: SimTime,
-    trace: TraceHandle,
-    trace_q: u32,
 }
 
 impl DualQ {
@@ -81,19 +72,14 @@ impl DualQ {
         cfg.validate();
         DualQ {
             cfg,
-            cq: VecDeque::new(),
-            lq: VecDeque::new(),
-            c_bytes: 0,
-            l_bytes: 0,
-            stats: QueueStats::default(),
-            conserve: ConservationCheck::default(),
+            cq: Fifo::new(),
+            lq: Fifo::new(),
+            core: QueueCore::new("DualQ"),
             p_base: 0.0,
             prev_qdelay: 0.0,
             c_recur: 0.0,
             l_recur: 0.0,
             last_update: SimTime::ZERO,
-            trace: TraceHandle::null(),
-            trace_q: NO_QUEUE,
         }
     }
 
@@ -109,12 +95,12 @@ impl DualQ {
 
     /// Classic-queue occupancy in packets.
     pub fn classic_len(&self) -> u64 {
-        self.cq.len() as u64
+        self.cq.len()
     }
 
     /// L-queue occupancy in packets.
     pub fn l4s_len(&self) -> u64 {
-        self.lq.len() as u64
+        self.lq.len()
     }
 
     /// The PI controller's delay sample at instant `t`: the *classic*
@@ -164,31 +150,7 @@ impl DualQ {
     }
 
     fn total_len(&self) -> u64 {
-        (self.cq.len() + self.lq.len()) as u64
-    }
-
-    /// Record a delivery and emit its events.
-    fn deliver(&mut self, r: PacketRef, pool: &PacketPool, now: SimTime) -> Option<PacketRef> {
-        let p = pool.get(r);
-        self.conserve.on_deliver(p.wire_bytes());
-        self.stats.on_dequeue(PacketKind::of(p), p.wire_bytes());
-        if self.trace.is_enabled() {
-            self.trace
-                .emit(packet_event(EventKind::Dequeued, now, self.trace_q, p));
-        }
-        self.debug_verify_conservation();
-        Some(r)
-    }
-
-    /// CE-mark the packet behind `r` in place.
-    fn mark(&mut self, r: PacketRef, pool: &mut PacketPool, now: SimTime) {
-        let p = pool.get_mut(r);
-        p.ecn = p.ecn.marked();
-        self.stats.marked.bump(PacketKind::of(p));
-        if self.trace.is_enabled() {
-            self.trace
-                .emit(packet_event(EventKind::Marked, now, self.trace_q, p));
-        }
+        self.cq.len() + self.lq.len()
     }
 }
 
@@ -197,41 +159,14 @@ impl QueueDiscipline for DualQ {
         self.advance(now);
         if self.total_len() >= self.cfg.capacity_packets {
             // The buffer is shared: either class can exhaust it.
-            drop_packet(
-                pool,
-                r,
-                &mut self.stats.dropped_full,
-                &self.trace,
-                self.trace_q,
-                EventKind::DroppedFull,
-                now,
-            );
-            return EnqueueOutcome::DroppedFull;
+            return self.core.tail_drop(r, pool, now);
         }
-        let packet = pool.get(r);
-        if self.trace.is_enabled() {
-            self.trace
-                .emit(packet_event(EventKind::Enqueued, now, self.trace_q, packet));
-        }
-        let kind = PacketKind::of(packet);
-        let bytes = packet.wire_bytes();
-        if packet.ecn.is_l4s() {
-            self.l_bytes += bytes as u64;
-            self.lq.push_back((r, now));
+        let queue = if pool.get(r).ecn.is_l4s() {
+            &mut self.lq
         } else {
-            self.c_bytes += bytes as u64;
-            self.cq.push_back((r, now));
-        }
-        self.conserve.on_admit(bytes);
-        self.stats.on_enqueue(
-            kind,
-            bytes,
-            false,
-            self.total_len(),
-            self.c_bytes + self.l_bytes,
-        );
-        self.debug_verify_conservation();
-        EnqueueOutcome::Enqueued
+            &mut self.cq
+        };
+        queue.offer(&mut self.core, r, now, pool, Verdict::Keep, now)
     }
 
     fn dequeue(&mut self, pool: &mut PacketPool, now: SimTime) -> Option<PacketRef> {
@@ -246,54 +181,38 @@ impl QueueDiscipline for DualQ {
                 (Some(&(_, l_arr)), Some(&(_, c_arr))) => l_arr.since(c_arr) <= self.cfg.t_shift,
             };
             let popped = if serve_l {
-                self.lq.pop_front()
+                self.lq.pop()
             } else {
-                self.cq.pop_front()
+                self.cq.pop()
             };
             // The match above returned on (None, None) and picked a
             // non-empty side otherwise.
             let (r, arr) = popped?;
-            let bytes = pool.get(r).wire_bytes();
-            if serve_l {
-                self.l_bytes -= bytes as u64;
+            let verdict = if serve_l {
                 // Step threshold on sojourn, or the coupled probability —
                 // whichever fires. L packets are ECT by construction and are
                 // marked, never early-dropped (RFC 9331 semantics).
                 let p_cl = (self.cfg.coupling * self.p_base).min(1.0);
                 let step = now.since(arr) > self.cfg.step_threshold;
                 if step || Self::recur(&mut self.l_recur, p_cl) {
-                    self.mark(r, pool, now);
+                    Verdict::Mark
+                } else {
+                    Verdict::Keep
                 }
-                return self.deliver(r, pool, now);
+            } else {
+                // Classic traffic: square-law probability from the shared
+                // base, resolved by the paper's rule (ECN always on).
+                let p_c = (self.p_base * self.p_base).min(1.0);
+                if Self::recur(&mut self.c_recur, p_c) {
+                    self.cfg.protection.resolve(pool.get(r), true, true)
+                } else {
+                    Verdict::Keep
+                }
+            };
+            if let Some(r) = signal_head(&mut self.core, r, pool, verdict, now) {
+                return Some(self.core.deliver(r, pool, now));
             }
-            self.c_bytes -= bytes as u64;
-            // Classic traffic: square-law probability from the shared base.
-            let p_c = (self.p_base * self.p_base).min(1.0);
-            if !Self::recur(&mut self.c_recur, p_c) {
-                return self.deliver(r, pool, now);
-            }
-            let p = pool.get(r);
-            if p.is_ect() {
-                self.mark(r, pool, now);
-                return self.deliver(r, pool, now);
-            }
-            if self.cfg.protection.protects(p) {
-                // The paper's modification: protected non-ECT packets ride
-                // out the signal instead of being head-dropped.
-                return self.deliver(r, pool, now);
-            }
-            self.conserve.on_drop_resident(bytes);
-            // Head drop: stamped at the dequeue decision, like CoDel.
-            drop_packet(
-                pool,
-                r,
-                &mut self.stats.dropped_early,
-                &self.trace,
-                self.trace_q,
-                EventKind::DroppedEarly,
-                now,
-            );
-            // Dropped: pull the next packet for the line.
+            // Head-dropped: pull the next packet for the line.
         }
     }
 
@@ -301,25 +220,12 @@ impl QueueDiscipline for DualQ {
         self.total_len()
     }
 
-    fn len_bytes(&self) -> u64 {
-        self.c_bytes + self.l_bytes
-    }
-
     fn capacity_packets(&self) -> u64 {
         self.cfg.capacity_packets
     }
 
-    fn stats(&self) -> &QueueStats {
-        &self.stats
-    }
-
     fn snapshot_kinds(&self, pool: &PacketPool) -> [u64; 6] {
-        kinds(
-            self.cq
-                .iter()
-                .chain(self.lq.iter())
-                .map(|&(r, _)| pool.get(r)),
-        )
+        kinds(self.cq.iter(pool).chain(self.lq.iter(pool)))
     }
 
     fn name(&self) -> String {
@@ -332,18 +238,12 @@ impl QueueDiscipline for DualQ {
         )
     }
 
-    fn debug_verify_conservation(&self) {
-        self.conserve.verify(
-            "DualQ",
-            &self.stats,
-            self.total_len(),
-            self.c_bytes + self.l_bytes,
-        );
+    fn core(&self) -> &QueueCore {
+        &self.core
     }
 
-    fn set_trace(&mut self, trace: TraceHandle, queue: u32) {
-        self.trace = trace;
-        self.trace_q = queue;
+    fn core_mut(&mut self) -> &mut QueueCore {
+        &mut self.core
     }
 }
 
@@ -352,7 +252,7 @@ mod tests {
     use super::*;
     use crate::testkit::Pooled;
     use crate::ProtectionMode;
-    use netpacket::{EcnCodepoint, FlowId, NodeId, Packet, PacketId, TcpFlags};
+    use netpacket::{EcnCodepoint, FlowId, NodeId, Packet, PacketId, PacketKind, TcpFlags};
     use simevent::SimDuration;
 
     fn data(id: u64, ecn: EcnCodepoint) -> Packet {

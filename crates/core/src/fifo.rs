@@ -1,48 +1,56 @@
-//! Shared FIFO backing store and drop path for all disciplines.
+//! Shared FIFO backing store and signal paths for all disciplines.
 
-use netpacket::{packet_event, KindCounters, Packet, PacketKind, PacketPool, PacketRef};
+use crate::protection::Verdict;
+use netpacket::{EnqueueOutcome, Packet, PacketKind, PacketPool, PacketRef, QueueCore};
 use simevent::SimTime;
-use simtrace::{EventKind, TraceHandle};
 use std::collections::VecDeque;
 
-/// A FIFO of pool handles with byte accounting, used as the backing store of
-/// the single-queue disciplines in this crate. The packets themselves stay
-/// in the caller's [`PacketPool`].
-#[derive(Debug, Default)]
-pub(crate) struct Fifo {
-    queue: VecDeque<PacketRef>,
-    bytes: u64,
+/// A FIFO of pool handles, each with a stamp `T`: the arrival time for the
+/// disciplines that act on sojourn time (CoDel, DualQ), `()` for the rest.
+/// The packets themselves stay in the caller's [`PacketPool`]; resident
+/// bytes are counted by the discipline's [`QueueCore`].
+#[derive(Debug)]
+pub(crate) struct Fifo<T = ()> {
+    queue: VecDeque<(PacketRef, T)>,
 }
 
-impl Fifo {
+impl<T> Fifo<T> {
     pub(crate) fn new() -> Self {
         Fifo {
             queue: VecDeque::new(),
-            bytes: 0,
         }
     }
 
-    /// Append the packet behind `r`, `bytes` long on the wire.
-    pub(crate) fn push(&mut self, r: PacketRef, bytes: u32) {
-        self.bytes += bytes as u64;
-        self.queue.push_back(r);
+    /// Queue the arrival behind `r`, stamped `stamp`, or early-drop it, as
+    /// `verdict` says; `core` records the outcome.
+    pub(crate) fn offer(
+        &mut self,
+        core: &mut QueueCore,
+        r: PacketRef,
+        stamp: T,
+        pool: &mut PacketPool,
+        verdict: Verdict,
+        now: SimTime,
+    ) -> EnqueueOutcome {
+        if verdict == Verdict::Drop {
+            return core.early_drop(r, pool, now);
+        }
+        self.queue.push_back((r, stamp));
+        core.admit(r, pool, verdict == Verdict::Mark, now)
     }
 
-    /// Remove the head handle; `pool` supplies its wire size.
-    pub(crate) fn pop(&mut self, pool: &PacketPool) -> Option<PacketRef> {
-        let r = self.queue.pop_front()?;
-        let bytes = pool.get(r).wire_bytes() as u64;
-        debug_assert!(self.bytes >= bytes);
-        self.bytes -= bytes;
-        Some(r)
+    /// Remove the head handle and its stamp.
+    pub(crate) fn pop(&mut self) -> Option<(PacketRef, T)> {
+        self.queue.pop_front()
+    }
+
+    /// The head handle and its stamp.
+    pub(crate) fn front(&self) -> Option<&(PacketRef, T)> {
+        self.queue.front()
     }
 
     pub(crate) fn len(&self) -> u64 {
         self.queue.len() as u64
-    }
-
-    pub(crate) fn bytes(&self) -> u64 {
-        self.bytes
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -51,7 +59,29 @@ impl Fifo {
 
     /// Iterate the resident packets head-to-tail (for queue snapshots).
     pub(crate) fn iter<'a>(&'a self, pool: &'a PacketPool) -> impl Iterator<Item = &'a Packet> {
-        self.queue.iter().map(|&r| pool.get(r))
+        self.queue.iter().map(|(r, _)| pool.get(*r))
+    }
+}
+
+/// Apply a dequeue-time `verdict` to the packet behind `r`, just taken off
+/// a queue: the handle to deliver, or `None` when it was head-dropped.
+pub(crate) fn signal_head(
+    core: &mut QueueCore,
+    r: PacketRef,
+    pool: &mut PacketPool,
+    verdict: Verdict,
+    now: SimTime,
+) -> Option<PacketRef> {
+    match verdict {
+        Verdict::Keep => Some(r),
+        Verdict::Mark => {
+            core.mark(r, pool, now);
+            Some(r)
+        }
+        Verdict::Drop => {
+            core.head_drop(r, pool, now);
+            None
+        }
     }
 }
 
@@ -62,27 +92,6 @@ pub(crate) fn kinds<'a>(residents: impl Iterator<Item = &'a Packet>) -> [u64; 6]
         kinds[PacketKind::of(p).index()] += 1;
     }
     kinds
-}
-
-/// End the life of a packet a discipline drops: count it under its kind in
-/// `counter`, trace it as `event`, and take it out of `pool`. Every drop path
-/// in this crate — tail, early and head drops — goes through here, so the
-/// pool holds exactly the packets the queues still own.
-pub(crate) fn drop_packet(
-    pool: &mut PacketPool,
-    r: PacketRef,
-    counter: &mut KindCounters,
-    trace: &TraceHandle,
-    trace_q: u32,
-    event: EventKind,
-    now: SimTime,
-) {
-    let p = pool.get(r);
-    counter.bump(PacketKind::of(p));
-    if trace.is_enabled() {
-        trace.emit(packet_event(event, now, trace_q, p));
-    }
-    pool.take(r);
 }
 
 #[cfg(test)]
@@ -106,57 +115,82 @@ mod tests {
         }
     }
 
-    fn push(f: &mut Fifo, pool: &mut PacketPool, p: Packet) {
-        let bytes = p.wire_bytes();
-        f.push(pool.insert(p), bytes);
+    fn offer(f: &mut Fifo, core: &mut QueueCore, pool: &mut PacketPool, p: Packet, v: Verdict) {
+        let r = pool.insert(p);
+        f.offer(core, r, (), pool, v, SimTime::ZERO);
     }
 
     #[test]
     fn fifo_order_and_bytes() {
         let mut pool = PacketPool::new();
+        let mut core = QueueCore::new("test");
         let mut f = Fifo::new();
         assert!(f.is_empty());
-        push(&mut f, &mut pool, pkt(1, 1460));
-        push(&mut f, &mut pool, pkt(2, 0));
+        offer(&mut f, &mut core, &mut pool, pkt(1, 1460), Verdict::Keep);
+        offer(&mut f, &mut core, &mut pool, pkt(2, 0), Verdict::Keep);
         assert_eq!(f.len(), 2);
         assert_eq!(
-            f.bytes(),
+            core.len_bytes(),
             (1460 + netpacket::TCP_HEADER_BYTES + Packet::ACK_BYTES) as u64
         );
-        let a = f.pop(&pool).unwrap();
-        assert_eq!(pool.get(a).id, PacketId(1));
-        let b = f.pop(&pool).unwrap();
-        assert_eq!(pool.get(b).id, PacketId(2));
-        assert!(f.pop(&pool).is_none());
-        assert_eq!(f.bytes(), 0);
+        let (a, ()) = f.pop().unwrap();
+        assert_eq!(
+            pool.get(core.deliver(a, &pool, SimTime::ZERO)).id,
+            PacketId(1)
+        );
+        let (b, ()) = f.pop().unwrap();
+        assert_eq!(
+            pool.get(core.deliver(b, &pool, SimTime::ZERO)).id,
+            PacketId(2)
+        );
+        assert!(f.pop().is_none());
+        assert_eq!(core.len_bytes(), 0);
+        core.verify(f.len());
     }
 
     #[test]
     fn iter_is_head_to_tail() {
         let mut pool = PacketPool::new();
+        let mut core = QueueCore::new("test");
         let mut f = Fifo::new();
         for i in 0..5 {
-            push(&mut f, &mut pool, pkt(i, 100));
+            offer(&mut f, &mut core, &mut pool, pkt(i, 100), Verdict::Keep);
         }
         let ids: Vec<u64> = f.iter(&pool).map(|p| p.id.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn drop_packet_counts_and_frees_the_slot() {
+    fn a_drop_verdict_counts_and_frees_the_slot() {
         let mut pool = PacketPool::new();
-        let r = pool.insert(pkt(9, 0));
-        let mut counter = KindCounters::default();
-        drop_packet(
-            &mut pool,
+        let mut core = QueueCore::new("test");
+        let mut f = Fifo::new();
+        offer(&mut f, &mut core, &mut pool, pkt(9, 0), Verdict::Drop);
+        assert!(f.is_empty());
+        assert_eq!(core.stats().dropped_early.get(PacketKind::PureAck), 1);
+        assert!(pool.is_empty());
+        core.verify(f.len());
+    }
+
+    #[test]
+    fn a_head_drop_leaves_the_ledger_balanced() {
+        let mut pool = PacketPool::new();
+        let mut core = QueueCore::new("test");
+        let mut f: Fifo<SimTime> = Fifo::new();
+        let r = pool.insert(pkt(3, 100));
+        f.offer(
+            &mut core,
             r,
-            &mut counter,
-            &TraceHandle::null(),
-            0,
-            EventKind::DroppedFull,
+            SimTime::ZERO,
+            &mut pool,
+            Verdict::Keep,
             SimTime::ZERO,
         );
-        assert_eq!(counter.get(PacketKind::PureAck), 1);
+        let (r, _) = f.pop().unwrap();
+        assert!(signal_head(&mut core, r, &mut pool, Verdict::Drop, SimTime::ZERO).is_none());
         assert!(pool.is_empty());
+        assert_eq!(core.len_bytes(), 0);
+        assert_eq!(core.stats().dropped_early.total(), 1);
+        core.verify(f.len());
     }
 }

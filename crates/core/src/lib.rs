@@ -23,9 +23,18 @@
 //!   **never early-drops anything**; non-ECT packets are lost only when the
 //!   buffer is physically full.
 //!
-//! All disciplines implement [`netpacket::QueueDiscipline`] and keep full
-//! per-packet-kind statistics so experiments can report exactly *who* was
-//! dropped (the paper's Fig. 1 analysis).
+//! Beyond the paper, [`CoDel`], [`CurvyRed`], [`Pie`] and [`DualQ`] show the
+//! pathology and its fix on later AQM designs.
+//!
+//! All disciplines implement [`netpacket::QueueDiscipline`] and share one
+//! path for everything but their policy. Each decides only *when* to signal
+//! congestion and *which* queue a packet joins. One function,
+//! `ProtectionMode::resolve`, turns a signal into the paper's per-packet
+//! verdict (mark ECT, keep protected non-ECT, early-drop the rest), and one
+//! [`netpacket::QueueCore`] per queue admits, marks, drops and delivers —
+//! keeping the per-packet-kind statistics experiments use to report exactly
+//! *who* was dropped (the paper's Fig. 1 analysis), the trace, and the
+//! debug-build conservation ledger.
 
 mod codel;
 mod config;

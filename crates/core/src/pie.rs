@@ -2,13 +2,10 @@
 //! the paper's protection modes.
 
 use crate::config::PieConfig;
-use crate::fifo::{drop_packet, kinds, Fifo};
-use netpacket::{
-    packet_event, ConservationCheck, EnqueueOutcome, PacketKind, PacketPool, PacketRef,
-    QueueDiscipline, QueueStats,
-};
+use crate::fifo::{kinds, Fifo};
+use crate::protection::Verdict;
+use netpacket::{EnqueueOutcome, PacketPool, PacketRef, QueueCore, QueueDiscipline};
 use simevent::{SimDuration, SimRng, SimTime};
-use simtrace::{EventKind, TraceHandle, NO_QUEUE};
 
 /// Past this many elapsed `T_UPDATE` periods the lazy timer stops replaying
 /// them one by one and resets the controller outright: the queue has been
@@ -41,8 +38,7 @@ const IDLE_RESET_STEPS: u64 = 64;
 pub struct Pie {
     cfg: PieConfig,
     fifo: Fifo,
-    stats: QueueStats,
-    conserve: ConservationCheck,
+    core: QueueCore,
     rng: SimRng,
     /// Early-action probability, updated every `T_UPDATE`.
     prob: f64,
@@ -57,8 +53,6 @@ pub struct Pie {
     dq_bytes: u64,
     /// Smoothed departure rate in bytes/second (RFC `avg_dq_rate_`).
     avg_dq_rate: Option<f64>,
-    trace: TraceHandle,
-    trace_q: u32,
 }
 
 impl Pie {
@@ -69,8 +63,7 @@ impl Pie {
         Pie {
             cfg,
             fifo: Fifo::new(),
-            stats: QueueStats::default(),
-            conserve: ConservationCheck::default(),
+            core: QueueCore::new("PIE"),
             rng: SimRng::new(seed),
             prob: 0.0,
             qdelay_old: 0.0,
@@ -79,8 +72,6 @@ impl Pie {
             dq_start: None,
             dq_bytes: 0,
             avg_dq_rate: None,
-            trace: TraceHandle::null(),
-            trace_q: NO_QUEUE,
         }
     }
 
@@ -98,7 +89,7 @@ impl Pie {
     /// has been measured).
     pub fn queue_delay_estimate(&self) -> f64 {
         match self.avg_dq_rate {
-            Some(rate) if rate > 0.0 => self.fifo.bytes() as f64 / rate,
+            Some(rate) if rate > 0.0 => self.core.len_bytes() as f64 / rate,
             _ => 0.0,
         }
     }
@@ -176,93 +167,37 @@ impl Pie {
         }
         self.rng.chance(self.prob)
     }
-
-    /// Admit the packet behind `r`, CE-marking it in place when `mark`.
-    fn accept(
-        &mut self,
-        r: PacketRef,
-        pool: &mut PacketPool,
-        mark: bool,
-        now: SimTime,
-    ) -> EnqueueOutcome {
-        let packet = pool.get_mut(r);
-        let kind = PacketKind::of(packet);
-        if mark {
-            packet.ecn = packet.ecn.marked();
-        }
-        if self.trace.is_enabled() {
-            if mark {
-                self.trace
-                    .emit(packet_event(EventKind::Marked, now, self.trace_q, packet));
-            }
-            self.trace
-                .emit(packet_event(EventKind::Enqueued, now, self.trace_q, packet));
-        }
-        let bytes = packet.wire_bytes();
-        self.fifo.push(r, bytes);
-        self.conserve.on_admit(bytes);
-        self.stats
-            .on_enqueue(kind, bytes, mark, self.fifo.len(), self.fifo.bytes());
-        self.debug_verify_conservation();
-        if mark {
-            EnqueueOutcome::EnqueuedMarked
-        } else {
-            EnqueueOutcome::Enqueued
-        }
-    }
 }
 
 impl QueueDiscipline for Pie {
     fn enqueue(&mut self, r: PacketRef, pool: &mut PacketPool, now: SimTime) -> EnqueueOutcome {
         self.advance(now);
         if self.fifo.len() >= self.cfg.capacity_packets {
-            drop_packet(
-                pool,
-                r,
-                &mut self.stats.dropped_full,
-                &self.trace,
-                self.trace_q,
-                EventKind::DroppedFull,
-                now,
-            );
-            return EnqueueOutcome::DroppedFull;
+            return self.core.tail_drop(r, pool, now);
         }
-        if !self.should_signal() {
-            return self.accept(r, pool, false, now);
-        }
-        let packet = pool.get(r);
-        if self.cfg.ecn && packet.is_ect() && self.prob <= self.cfg.mark_ecnth {
-            return self.accept(r, pool, true, now);
-        }
-        if self.cfg.ecn && self.cfg.protection.protects(packet) {
-            // The paper's modification: protected non-ECT packets are admitted
-            // unmarked instead of early-dropped.
-            return self.accept(r, pool, false, now);
-        }
-        drop_packet(
-            pool,
-            r,
-            &mut self.stats.dropped_early,
-            &self.trace,
-            self.trace_q,
-            EventKind::DroppedEarly,
-            now,
-        );
-        EnqueueOutcome::DroppedEarly
+        let verdict = if self.should_signal() {
+            let may_mark = self.prob <= self.cfg.mark_ecnth;
+            self.cfg
+                .protection
+                .resolve(pool.get(r), self.cfg.ecn, may_mark)
+        } else {
+            Verdict::Keep
+        };
+        self.fifo.offer(&mut self.core, r, (), pool, verdict, now)
     }
 
     fn dequeue(&mut self, pool: &mut PacketPool, now: SimTime) -> Option<PacketRef> {
         self.advance(now);
         // Departure-rate measurement (RFC 8033 §4.3): cycles only run while
         // the backlog is deep enough to time meaningfully.
-        if self.dq_start.is_none() && self.fifo.bytes() >= self.cfg.dq_threshold_bytes {
+        if self.dq_start.is_none() && self.core.len_bytes() >= self.cfg.dq_threshold_bytes {
             self.dq_start = Some(now);
             self.dq_bytes = 0;
         }
-        let r = self.fifo.pop(pool)?;
-        let p = pool.get(r);
+        let (r, ()) = self.fifo.pop()?;
+        self.core.deliver(r, pool, now);
         if let Some(start) = self.dq_start {
-            self.dq_bytes += p.wire_bytes() as u64;
+            self.dq_bytes += pool.get(r).wire_bytes() as u64;
             if self.dq_bytes >= self.cfg.dq_threshold_bytes {
                 let dt = now.since(start);
                 if dt > SimDuration::ZERO {
@@ -272,7 +207,7 @@ impl QueueDiscipline for Pie {
                         Some(rate) => 0.5 * rate + 0.5 * sample,
                         None => sample,
                     });
-                    self.dq_start = if self.fifo.bytes() >= self.cfg.dq_threshold_bytes {
+                    self.dq_start = if self.core.len_bytes() >= self.cfg.dq_threshold_bytes {
                         Some(now)
                     } else {
                         None
@@ -282,13 +217,6 @@ impl QueueDiscipline for Pie {
                 // dt == 0: keep the cycle open until time actually passes.
             }
         }
-        self.conserve.on_deliver(p.wire_bytes());
-        self.stats.on_dequeue(PacketKind::of(p), p.wire_bytes());
-        if self.trace.is_enabled() {
-            self.trace
-                .emit(packet_event(EventKind::Dequeued, now, self.trace_q, p));
-        }
-        self.debug_verify_conservation();
         Some(r)
     }
 
@@ -296,16 +224,8 @@ impl QueueDiscipline for Pie {
         self.fifo.len()
     }
 
-    fn len_bytes(&self) -> u64 {
-        self.fifo.bytes()
-    }
-
     fn capacity_packets(&self) -> u64 {
         self.cfg.capacity_packets
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
     }
 
     fn snapshot_kinds(&self, pool: &PacketPool) -> [u64; 6] {
@@ -322,14 +242,12 @@ impl QueueDiscipline for Pie {
         )
     }
 
-    fn debug_verify_conservation(&self) {
-        self.conserve
-            .verify("PIE", &self.stats, self.fifo.len(), self.fifo.bytes());
+    fn core(&self) -> &QueueCore {
+        &self.core
     }
 
-    fn set_trace(&mut self, trace: TraceHandle, queue: u32) {
-        self.trace = trace;
-        self.trace_q = queue;
+    fn core_mut(&mut self) -> &mut QueueCore {
+        &mut self.core
     }
 }
 
@@ -338,7 +256,7 @@ mod tests {
     use super::*;
     use crate::testkit::Pooled;
     use crate::ProtectionMode;
-    use netpacket::{EcnCodepoint, FlowId, NodeId, Packet, PacketId, TcpFlags};
+    use netpacket::{EcnCodepoint, FlowId, NodeId, Packet, PacketId, PacketKind, TcpFlags};
 
     fn data(id: u64, ecn: EcnCodepoint) -> Packet {
         Packet {

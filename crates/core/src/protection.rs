@@ -4,6 +4,17 @@ use netpacket::{Packet, PacketKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// What a congestion signal does to one packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Keep the packet unmarked.
+    Keep,
+    /// CE-mark the packet and keep it.
+    Mark,
+    /// Drop the packet early.
+    Drop,
+}
+
 /// Which non-ECT packets an ECN-enabled AQM exempts from early drop.
 ///
 /// The paper evaluates exactly three behaviours (§III, bullet list):
@@ -43,6 +54,25 @@ impl ProtectionMode {
                 PacketKind::of(packet),
                 PacketKind::PureAck | PacketKind::Syn | PacketKind::SynAck
             ),
+        }
+    }
+
+    /// The paper's per-packet rule, shared by every AQM: resolve a
+    /// congestion signal on `packet` at a queue whose ECN support is `ecn`.
+    /// ECT packets are CE-marked while `may_mark` (PIE stops marking above
+    /// `mark_ecnth`); non-ECT packets this mode protects are kept unmarked
+    /// — **the paper's modification**; everything else is early-dropped,
+    /// the stock behaviour that kills Hadoop's ACKs. Without ECN every
+    /// signalled packet is dropped.
+    pub(crate) fn resolve(self, packet: &Packet, ecn: bool, may_mark: bool) -> Verdict {
+        if !ecn {
+            Verdict::Drop
+        } else if may_mark && packet.is_ect() {
+            Verdict::Mark
+        } else if self.protects(packet) {
+            Verdict::Keep
+        } else {
+            Verdict::Drop
         }
     }
 

@@ -1,13 +1,10 @@
 //! Random Early Detection with ECN and the paper's protection modes.
 
 use crate::config::RedConfig;
-use crate::fifo::{drop_packet, kinds, Fifo};
-use netpacket::{
-    packet_event, ConservationCheck, EnqueueOutcome, Packet, PacketKind, PacketPool, PacketRef,
-    QueueDiscipline, QueueStats,
-};
+use crate::fifo::{kinds, Fifo};
+use crate::protection::Verdict;
+use netpacket::{EnqueueOutcome, Packet, PacketPool, PacketRef, QueueCore, QueueDiscipline};
 use simevent::{SimDuration, SimRng, SimTime};
-use simtrace::{EventKind, TraceHandle, NO_QUEUE};
 
 /// RED (Floyd & Jacobson 1993) as implemented by switch vendors, extended with
 /// the paper's configurable handling of non-ECT packets.
@@ -22,7 +19,7 @@ use simtrace::{EventKind, TraceHandle, NO_QUEUE};
 ///    (probabilistically when `gentle`, always otherwise). With
 ///    `min_th == max_th` (the DCTCP-mimicking config the paper studies) the
 ///    decision is a deterministic threshold test.
-/// 4. "Notify" resolves to:
+/// 4. "Notify" resolves through [`crate::ProtectionMode`]'s shared rule:
 ///    * CE-mark and accept, if the queue is ECN-enabled and the packet is ECT;
 ///    * accept unmarked, if the packet is exempted by the configured
 ///      [`crate::ProtectionMode`] — **this is the paper's modification**;
@@ -31,8 +28,7 @@ use simtrace::{EventKind, TraceHandle, NO_QUEUE};
 pub struct Red {
     cfg: RedConfig,
     fifo: Fifo,
-    stats: QueueStats,
-    conserve: ConservationCheck,
+    core: QueueCore,
     rng: SimRng,
     /// EWMA of the queue length, in packets (or bytes in byte mode).
     avg: f64,
@@ -44,8 +40,6 @@ pub struct Red {
     /// Assumed transmission time of a mean-size packet, used only to scale the
     /// idle decay of the EWMA (classic RED's `s` parameter).
     idle_packet_time: SimDuration,
-    trace: TraceHandle,
-    trace_q: u32,
 }
 
 impl Red {
@@ -57,15 +51,12 @@ impl Red {
         Red {
             cfg,
             fifo: Fifo::new(),
-            stats: QueueStats::default(),
-            conserve: ConservationCheck::default(),
+            core: QueueCore::new("RED"),
             rng: SimRng::new(seed),
             avg: 0.0,
             count: -1,
             idle_since: Some(SimTime::ZERO),
             idle_packet_time: SimDuration::from_micros(12),
-            trace: TraceHandle::null(),
-            trace_q: NO_QUEUE,
         }
     }
 
@@ -95,7 +86,7 @@ impl Red {
     /// Occupancy in the unit thresholds are expressed in.
     fn measured_len(&self) -> f64 {
         if self.cfg.byte_mode {
-            self.fifo.bytes() as f64
+            self.core.len_bytes() as f64
         } else {
             self.fifo.len() as f64
         }
@@ -112,7 +103,7 @@ impl Red {
                 .cfg
                 .capacity_packets
                 .saturating_mul(self.cfg.mean_packet_bytes as u64);
-            self.fifo.bytes() + packet.wire_bytes() as u64 > budget
+            self.core.len_bytes() + packet.wire_bytes() as u64 > budget
         } else {
             self.fifo.len() >= self.cfg.capacity_packets
         }
@@ -187,40 +178,6 @@ impl Red {
             false
         }
     }
-
-    /// Admit the packet behind `r`, CE-marking it in place when `mark`.
-    fn accept(
-        &mut self,
-        r: PacketRef,
-        pool: &mut PacketPool,
-        mark: bool,
-        now: SimTime,
-    ) -> EnqueueOutcome {
-        let packet = pool.get_mut(r);
-        let kind = PacketKind::of(packet);
-        if mark {
-            packet.ecn = packet.ecn.marked();
-        }
-        if self.trace.is_enabled() {
-            if mark {
-                self.trace
-                    .emit(packet_event(EventKind::Marked, now, self.trace_q, packet));
-            }
-            self.trace
-                .emit(packet_event(EventKind::Enqueued, now, self.trace_q, packet));
-        }
-        let bytes = packet.wire_bytes();
-        self.fifo.push(r, bytes);
-        self.conserve.on_admit(bytes);
-        self.stats
-            .on_enqueue(kind, bytes, mark, self.fifo.len(), self.fifo.bytes());
-        self.debug_verify_conservation();
-        if mark {
-            EnqueueOutcome::EnqueuedMarked
-        } else {
-            EnqueueOutcome::Enqueued
-        }
-    }
 }
 
 impl QueueDiscipline for Red {
@@ -237,72 +194,30 @@ impl QueueDiscipline for Red {
                 // decay is not lost across the drop.
                 self.idle_since = Some(now);
             }
-            drop_packet(
-                pool,
-                r,
-                &mut self.stats.dropped_full,
-                &self.trace,
-                self.trace_q,
-                EventKind::DroppedFull,
-                now,
-            );
-            return EnqueueOutcome::DroppedFull;
+            return self.core.tail_drop(r, pool, now);
         }
-        if !self.should_notify() {
-            return self.accept(r, pool, false, now);
-        }
-        // Congestion must be signalled for this packet.
-        let packet = pool.get(r);
-        if self.cfg.ecn && packet.is_ect() {
-            return self.accept(r, pool, true, now);
-        }
-        if self.cfg.ecn && self.cfg.protection.protects(packet) {
-            // The paper's modification: protected non-ECT packets are admitted
-            // unmarked instead of early-dropped.
-            return self.accept(r, pool, false, now);
-        }
-        drop_packet(
-            pool,
-            r,
-            &mut self.stats.dropped_early,
-            &self.trace,
-            self.trace_q,
-            EventKind::DroppedEarly,
-            now,
-        );
-        EnqueueOutcome::DroppedEarly
+        let verdict = if self.should_notify() {
+            self.cfg.protection.resolve(pool.get(r), self.cfg.ecn, true)
+        } else {
+            Verdict::Keep
+        };
+        self.fifo.offer(&mut self.core, r, (), pool, verdict, now)
     }
 
     fn dequeue(&mut self, pool: &mut PacketPool, now: SimTime) -> Option<PacketRef> {
-        let r = self.fifo.pop(pool)?;
-        let p = pool.get(r);
-        self.conserve.on_deliver(p.wire_bytes());
-        self.stats.on_dequeue(PacketKind::of(p), p.wire_bytes());
+        let (r, ()) = self.fifo.pop()?;
         if self.fifo.is_empty() {
             self.idle_since = Some(now);
         }
-        if self.trace.is_enabled() {
-            self.trace
-                .emit(packet_event(EventKind::Dequeued, now, self.trace_q, p));
-        }
-        self.debug_verify_conservation();
-        Some(r)
+        Some(self.core.deliver(r, pool, now))
     }
 
     fn len_packets(&self) -> u64 {
         self.fifo.len()
     }
 
-    fn len_bytes(&self) -> u64 {
-        self.fifo.bytes()
-    }
-
     fn capacity_packets(&self) -> u64 {
         self.cfg.capacity_packets
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
     }
 
     fn snapshot_kinds(&self, pool: &PacketPool) -> [u64; 6] {
@@ -320,14 +235,12 @@ impl QueueDiscipline for Red {
         )
     }
 
-    fn debug_verify_conservation(&self) {
-        self.conserve
-            .verify("RED", &self.stats, self.fifo.len(), self.fifo.bytes());
+    fn core(&self) -> &QueueCore {
+        &self.core
     }
 
-    fn set_trace(&mut self, trace: TraceHandle, queue: u32) {
-        self.trace = trace;
-        self.trace_q = queue;
+    fn core_mut(&mut self) -> &mut QueueCore {
+        &mut self.core
     }
 }
 
@@ -336,7 +249,7 @@ mod tests {
     use super::*;
     use crate::testkit::Pooled;
     use crate::ProtectionMode;
-    use netpacket::{EcnCodepoint, FlowId, NodeId, PacketId, TcpFlags};
+    use netpacket::{EcnCodepoint, FlowId, NodeId, PacketId, PacketKind, TcpFlags};
 
     fn data(id: u64, ecn: EcnCodepoint) -> Packet {
         Packet {

@@ -10,9 +10,9 @@ use std::ops::Deref;
 /// tests read like packet-level scenarios while the discipline sees exactly
 /// the handle API the simulator uses.
 ///
-/// After every call the pool must hold exactly the queue's residents: a drop
+/// After every call the pool must hold exactly the queue's residents (a drop
 /// path that forgets its `pool.take` leaks a live packet, and one that takes
-/// twice panics on the stale handle.
+/// twice panics on the stale handle), and the conservation check must pass.
 #[derive(Debug)]
 pub(crate) struct Pooled<Q> {
     q: Q,
@@ -41,8 +41,9 @@ impl<Q: QueueDiscipline> Pooled<Q> {
     }
 
     /// The pool holds the queue's residents plus `handed_out` packets the
-    /// caller has not consumed yet.
+    /// caller has not consumed yet, and the queue's ledger balances.
     fn assert_owned(&self, handed_out: u64) {
+        self.q.debug_verify_conservation();
         assert_eq!(
             self.pool.live() as u64,
             self.q.len_packets() + handed_out,

@@ -130,13 +130,6 @@ pub fn run_baseline(cfg: &ScenarioConfig, depth: BufferDepth) -> RunMetrics {
     )
 }
 
-/// True when `SWEEP_TIMING=1`: print per-point wall-clock timing to stderr
-/// (there is no logging framework in this workspace, so this stands in for
-/// debug-level logging).
-fn timing_enabled() -> bool {
-    std::env::var_os("SWEEP_TIMING").is_some_and(|v| v == "1")
-}
-
 /// The content-addressed cache key of one scenario point: everything that
 /// determines its [`RunMetrics`]. The [`ScenarioConfig`] carries the seed
 /// (and seed count), so a `--seed` override changes every key. The crate
@@ -169,34 +162,20 @@ fn baseline_key(cfg: &ScenarioConfig, depth: BufferDepth) -> PointKey {
 }
 
 fn eval_point(key: &PointKey) -> RunMetrics {
-    let timing = timing_enabled();
-    let start = std::time::Instant::now();
-    let metrics = run_scenario(
+    run_scenario(
         &key.config,
         key.transport,
         key.queue,
         key.depth,
         SimDuration::from_micros(key.delay_us),
-    );
-    if timing {
-        eprintln!(
-            "sweep point {} {} {} {}us: {:.3}s",
-            key.transport.label(),
-            key.queue.label(),
-            key.depth.label(),
-            key.delay_us,
-            start.elapsed().as_secs_f64(),
-        );
-    }
-    metrics
+    )
 }
 
 /// Run the full grid (both buffer depths plus the two DropTail baselines).
 ///
 /// Every point is an independent deterministic simulation, so the grid is
 /// evaluated in parallel; this convenience wrapper uses one worker per core
-/// and no cache. Set `SWEEP_TIMING=1` to print each point's wall-clock time
-/// to stderr.
+/// and no cache.
 pub fn sweep(grid: &SweepGrid) -> SweepResults {
     sweep_with(grid, &SweepOptions::default()).0
 }

@@ -29,5 +29,6 @@ pub use flags::TcpFlags;
 pub use packet::{FlowId, NodeId, Packet, PacketId, SackBlocks, TCP_HEADER_BYTES};
 pub use pool::{FlowCountMismatch, PacketPool, PacketRef, PoolStats};
 pub use qdisc::{
-    packet_event, ConservationCheck, EnqueueOutcome, KindCounters, QueueDiscipline, QueueStats,
+    packet_event, ConservationCheck, EnqueueOutcome, KindCounters, QueueCore, QueueDiscipline,
+    QueueStats,
 };

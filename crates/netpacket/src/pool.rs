@@ -499,11 +499,11 @@ mod tests {
 
     /// A discipline that keeps `cap` packets and drops the oldest to admit
     /// a new one: the pool sees a take the network never asked for.
-    #[derive(Debug, Default)]
+    #[derive(Debug)]
     struct HeadDrop {
         cap: usize,
         q: std::collections::VecDeque<PacketRef>,
-        stats: crate::QueueStats,
+        core: crate::QueueCore,
     }
 
     impl crate::QueueDiscipline for HeadDrop {
@@ -526,17 +526,20 @@ mod tests {
         fn len_packets(&self) -> u64 {
             self.q.len() as u64
         }
-        fn len_bytes(&self) -> u64 {
-            0
-        }
         fn capacity_packets(&self) -> u64 {
             self.cap as u64
         }
-        fn stats(&self) -> &crate::QueueStats {
-            &self.stats
-        }
         fn name(&self) -> String {
             "HeadDrop".into()
+        }
+        fn snapshot_kinds(&self, _pool: &PacketPool) -> [u64; 6] {
+            [0; 6]
+        }
+        fn core(&self) -> &crate::QueueCore {
+            &self.core
+        }
+        fn core_mut(&mut self) -> &mut crate::QueueCore {
+            &mut self.core
         }
     }
 
@@ -546,7 +549,8 @@ mod tests {
         let mut pool = PacketPool::new();
         let mut q = HeadDrop {
             cap: 2,
-            ..HeadDrop::default()
+            q: Default::default(),
+            core: crate::QueueCore::new("HeadDrop"),
         };
         let now = SimTime::ZERO;
         let r = pool.insert(flow_pkt(1, 3));

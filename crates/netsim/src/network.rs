@@ -501,7 +501,6 @@ struct TraceState {
     port: usize,
     interval: SimDuration,
     trace: QueueTrace,
-    armed: bool,
 }
 
 /// Batched fast path: dequeue the next packet from a free port and schedule
@@ -992,7 +991,6 @@ impl Network {
             port,
             interval,
             trace: QueueTrace::new(max_samples),
-            armed: false,
         });
         self.pending
             .push((SimTime::ZERO, SAMPLE_LANE, Event::Sample));
@@ -1198,12 +1196,9 @@ impl Network {
             }
         }
         ts.trace.record(sample);
-        ts.armed = true;
-        if (ts.trace.samples().len()) < usize::MAX {
-            // Keep sampling; the trace itself caps retained samples.
-            self.pending
-                .push((now + ts.interval, SAMPLE_LANE, Event::Sample));
-        }
+        // Keep sampling; the trace itself caps retained samples.
+        self.pending
+            .push((now + ts.interval, SAMPLE_LANE, Event::Sample));
     }
 
     /// Drain the touched endpoints' outboxes into the host's NIC, update flow

@@ -1,4 +1,4 @@
-//! Golden outputs: the exact metrics of one tiny Terasort point, pinned.
+//! Golden outputs: the exact metrics of tiny Terasort points, pinned.
 //!
 //! The determinism tests check that a run repeats; these check that it
 //! produces the *same numbers as before*, so a change that silently alters
@@ -13,6 +13,7 @@ use experiments::scenario::{
     run_scenario_once, BufferDepth, QueueKind, RunMetrics, ScenarioConfig, TopologyKind, Transport,
 };
 use simevent::SimDuration;
+use tcpstack::CcAlg;
 
 /// The tiny DCTCP / RED[ack+syn] / 500 µs point at seed 7.
 fn point(topology: TopologyKind, shards: Option<u32>) -> RunMetrics {
@@ -57,4 +58,108 @@ fn windowed_fat_tree_output_is_pinned_at_one_and_two_shards() {
     let two = format!("{:?}", point(k4, Some(2)));
     assert_eq!(one, two, "shard count changed the output");
     assert_eq!(one, FAT_TREE_4);
+}
+
+/// One point per queue discipline: tiny DCTCP, shallow buffers, 100 µs
+/// target delay, seed 7. At this point every AQM signals: each one marks,
+/// and each one that may early-drop does, so every admit, mark, tail-drop,
+/// early-drop and head-drop path feeds a pinned number.
+fn discipline_point(queue: QueueKind, cc: Option<CcAlg>) -> RunMetrics {
+    let cfg = ScenarioConfig {
+        seed: 7,
+        cc,
+        ..ScenarioConfig::tiny()
+    };
+    run_scenario_once(
+        &cfg,
+        Transport::Dctcp,
+        queue,
+        BufferDepth::Shallow,
+        SimDuration::from_micros(100),
+    )
+}
+
+#[test]
+fn every_discipline_output_is_pinned() {
+    let d = ProtectionMode::Default;
+    let cases: [(QueueKind, Option<CcAlg>, &str); 9] = [
+        (
+            QueueKind::DropTail,
+            None,
+            "RunMetrics { runtime_s: 0.284496498, throughput_per_node_bps: 106947984.06993735, \
+            mean_latency_s: 0.000410794, p99_latency_s: 0.002097151, acks_early_dropped: 0, \
+            handshake_early_dropped: 0, data_marked: 0, full_drops: 614, timeouts: 3, \
+            fast_retransmits: 25, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
+        ),
+        (
+            QueueKind::Red(d),
+            None,
+            "RunMetrics { runtime_s: 1.087694695, throughput_per_node_bps: 23355246.789375145, \
+            mean_latency_s: 0.000486008, p99_latency_s: 0.001981312, acks_early_dropped: 10, \
+            handshake_early_dropped: 4, data_marked: 853, full_drops: 0, timeouts: 2, \
+            fast_retransmits: 0, syn_retransmits: 4, cc_fallbacks: 0, completed: true }",
+        ),
+        (
+            QueueKind::RedMimic(d),
+            None,
+            "RunMetrics { runtime_s: 1.079762373, throughput_per_node_bps: 23536933.614878997, \
+            mean_latency_s: 0.00033903, p99_latency_s: 0.002097151, acks_early_dropped: 49, \
+            handshake_early_dropped: 0, data_marked: 1847, full_drops: 0, timeouts: 6, \
+            fast_retransmits: 0, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
+        ),
+        (
+            QueueKind::SimpleMarking,
+            None,
+            "RunMetrics { runtime_s: 0.094117874, throughput_per_node_bps: 705269743.1962996, \
+            mean_latency_s: 0.000190746, p99_latency_s: 0.001048575, acks_early_dropped: 0, \
+            handshake_early_dropped: 0, data_marked: 2698, full_drops: 0, timeouts: 0, \
+            fast_retransmits: 0, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
+        ),
+        (
+            QueueKind::CoDel(d),
+            None,
+            "RunMetrics { runtime_s: 1.073731618, throughput_per_node_bps: 23676968.559423495, \
+            mean_latency_s: 0.000408228, p99_latency_s: 0.002097151, acks_early_dropped: 17, \
+            handshake_early_dropped: 0, data_marked: 49, full_drops: 281, timeouts: 3, \
+            fast_retransmits: 14, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
+        ),
+        (
+            QueueKind::CurvyRed(d),
+            None,
+            "RunMetrics { runtime_s: 1.086900632, throughput_per_node_bps: 23373308.06259311, \
+            mean_latency_s: 0.00042804, p99_latency_s: 0.001909056, acks_early_dropped: 50, \
+            handshake_early_dropped: 5, data_marked: 577, full_drops: 0, timeouts: 1, \
+            fast_retransmits: 0, syn_retransmits: 5, cc_fallbacks: 0, completed: true }",
+        ),
+        (
+            QueueKind::Pie(d),
+            None,
+            "RunMetrics { runtime_s: 0.289950674, throughput_per_node_bps: 104410321.11163685, \
+            mean_latency_s: 0.000467652, p99_latency_s: 0.00260288, acks_early_dropped: 5, \
+            handshake_early_dropped: 0, data_marked: 14, full_drops: 588, timeouts: 4, \
+            fast_retransmits: 37, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
+        ),
+        (
+            QueueKind::DualQ(d),
+            None,
+            "RunMetrics { runtime_s: 0.28280573, throughput_per_node_bps: 107759883.98463131, \
+            mean_latency_s: 0.000352762, p99_latency_s: 0.002097151, acks_early_dropped: 207, \
+            handshake_early_dropped: 0, data_marked: 338, full_drops: 221, timeouts: 2, \
+            fast_retransmits: 11, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
+        ),
+        // DCTCP's ECT(0) data all lands in DualQ's classic queue; Prague's
+        // ECT(1) data takes the L queue and its dequeue-time marks.
+        (
+            QueueKind::DualQ(d),
+            Some(CcAlg::Prague),
+            "RunMetrics { runtime_s: 0.111631429, throughput_per_node_bps: 465629843.5204348, \
+            mean_latency_s: 8.1235e-5, p99_latency_s: 0.001048575, acks_early_dropped: 1, \
+            handshake_early_dropped: 0, data_marked: 583, full_drops: 0, timeouts: 0, \
+            fast_retransmits: 0, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
+        ),
+    ];
+    for (queue, cc, want) in cases {
+        let got = format!("{:?}", discipline_point(queue, cc));
+        assert_eq!(got, want, "{} (cc {cc:?}) output changed", queue.label());
+    }
 }

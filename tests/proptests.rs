@@ -131,9 +131,10 @@ fn qdiscs() -> Vec<Box<dyn QueueDiscipline + Send>> {
 
 /// Drive `q` through `ops` on a local pool, taking each dequeued packet as
 /// delivered. `admit` filters which packets are offered. Asserts the
-/// handle-ownership rule after every operation: the pool holds exactly the
-/// queue's residents, so a drop path that skips its `pool.take` leaks a live
-/// packet here, and one that takes twice panics on the stale handle.
+/// conservation check (debug builds) and the handle-ownership rule after
+/// every operation: the pool holds exactly the queue's residents, so a drop
+/// path that skips its `pool.take` leaks a live packet here, and one that
+/// takes twice panics on the stale handle.
 /// Returns (offered, accepted, rejected early, delivered).
 fn drive(
     q: &mut dyn QueueDiscipline,
@@ -164,6 +165,7 @@ fn drive(
                 }
             }
         }
+        q.debug_verify_conservation();
         prop_assert_eq!(
             pool.live() as u64,
             q.len_packets(),
