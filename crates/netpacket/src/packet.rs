@@ -37,41 +37,63 @@ pub struct PacketId(pub u64);
 /// SACK option blocks carried on an ACK: up to three half-open `[start,
 /// end)` ranges of out-of-order data the receiver holds (RFC 2018 allows
 /// 3–4; we model 3).
+///
+/// Blocks are stored as `u32` offsets above the carrying packet's
+/// cumulative `ack`, which [`push`](SackBlocks::push) and
+/// [`iter`](SackBlocks::iter) take as their base; that halves the blocks'
+/// share of every live [`Packet`]. A block always ends above the ack, so an
+/// end offset of 0 marks an unused block. A receiver's blocks lie within
+/// its window above the ack, and `TcpConfig::validate` caps the window at
+/// 2^30 bytes, so every offset fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SackBlocks {
-    blocks: [(u64, u64); 3],
-    len: u8,
+    blocks: [(u32, u32); 3],
 }
 
 impl SackBlocks {
     /// No SACK information.
     pub const EMPTY: SackBlocks = SackBlocks {
         blocks: [(0, 0); 3],
-        len: 0,
     };
 
-    /// Append a block; silently ignored beyond capacity or if empty.
-    pub fn push(&mut self, start: u64, end: u64) {
-        if start >= end || (self.len as usize) >= self.blocks.len() {
+    /// Append the block `[start, end)` of a packet acknowledging `ack`;
+    /// silently ignored beyond capacity or if empty.
+    ///
+    /// # Panics
+    ///
+    /// If a non-empty block starts below `ack` or ends more than `u32::MAX`
+    /// bytes above it.
+    pub fn push(&mut self, ack: u64, start: u64, end: u64) {
+        let len = self.len();
+        if start >= end || len == self.blocks.len() {
             return;
         }
-        self.blocks[self.len as usize] = (start, end);
-        self.len += 1;
+        let offset = |seq: u64| {
+            seq.checked_sub(ack)
+                .and_then(|d| u32::try_from(d).ok())
+                .unwrap_or_else(|| {
+                    panic!("SACK block [{start}, {end}) is not within 2^32 above ack {ack}")
+                })
+        };
+        self.blocks[len] = (offset(start), offset(end));
     }
 
-    /// The carried blocks.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.blocks[..self.len as usize].iter().copied()
+    /// The carried blocks of a packet acknowledging `ack`, as absolute
+    /// `[start, end)` sequence ranges.
+    pub fn iter(&self, ack: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.blocks[..self.len()]
+            .iter()
+            .map(move |&(s, e)| (ack + s as u64, ack + e as u64))
     }
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.blocks.iter().take_while(|&&(_, e)| e != 0).count()
     }
 
     /// True when no blocks are carried.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.blocks[0].1 == 0
     }
 }
 
@@ -229,6 +251,57 @@ mod tests {
         );
         let d = base(TcpFlags::ACK, 1460, EcnCodepoint::Ce);
         assert!(d.is_ect());
+    }
+
+    #[test]
+    fn sack_block_may_start_at_the_ack() {
+        let mut b = SackBlocks::EMPTY;
+        b.push(1_000, 1_000, 2_460);
+        assert_eq!(b.iter(1_000).collect::<Vec<_>>(), vec![(1_000, 2_460)]);
+    }
+
+    #[test]
+    fn sack_offsets_reach_u32_max() {
+        let ack = 5_000_000_000;
+        let end = ack + u32::MAX as u64;
+        let mut b = SackBlocks::EMPTY;
+        b.push(ack, end - 1, end);
+        assert_eq!(b.iter(ack).collect::<Vec<_>>(), vec![(end - 1, end)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not within 2^32 above ack")]
+    fn sack_offset_beyond_u32_panics() {
+        let mut b = SackBlocks::EMPTY;
+        b.push(0, 1, u32::MAX as u64 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not within 2^32 above ack")]
+    fn sack_block_below_the_ack_panics() {
+        let mut b = SackBlocks::EMPTY;
+        b.push(100, 50, 150);
+    }
+
+    #[test]
+    fn sack_blocks_hold_three_and_skip_empty_ones() {
+        let mut b = SackBlocks::EMPTY;
+        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
+        assert_eq!(b.iter(7).count(), 0);
+        b.push(100, 150, 150); // empty: ignored
+        assert!(b.is_empty());
+        b.push(100, 200, 300);
+        assert!(!b.is_empty());
+        assert_eq!(b.len(), 1);
+        b.push(100, 400, 500);
+        b.push(100, 600, 700);
+        b.push(100, 800, 900); // a fourth: ignored
+        assert_eq!(b.len(), 3);
+        assert_eq!(
+            b.iter(100).collect::<Vec<_>>(),
+            vec![(200, 300), (400, 500), (600, 700)]
+        );
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Every packet travelling the simulated network lives in a [`PacketPool`]
 //! slot and is referred to by a 8-byte generation-checked [`PacketRef`].
 //! Scheduler events and queue disciplines carry the handle instead of the
-//! ~112-byte [`Packet`] struct, so a `netsim` event is 16 bytes and its
-//! event-queue heap record 32 (a `netsim` test pins both), a port queue
-//! stores 8 bytes per resident, and slot storage is
-//! recycled: once the pool has grown to the simulation's live high-water
-//! mark, inserting and removing packets performs **zero** heap allocation.
+//! 80-byte [`Packet`] struct (88 bytes in its slot), so a `netsim` event is
+//! 16 bytes and its event-queue heap record 32 (unit tests here and in
+//! `netsim` pin all four sizes), a port queue stores 8 bytes per resident,
+//! and slot storage is recycled: once the pool has grown to the simulation's
+//! live high-water mark, inserting and removing packets performs **zero**
+//! heap allocation.
 //!
 //! # Packet lifetime
 //!
@@ -338,6 +339,16 @@ mod tests {
             sack: SackBlocks::EMPTY,
             sent_at: SimTime::ZERO,
         }
+    }
+
+    /// Every live packet costs one slot, so these sizes are the fat-tree
+    /// runs' memory budget: its peak holds ~67,000 packets, mostly in host
+    /// NIC queues.
+    #[test]
+    fn packet_and_slot_sizes_are_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Packet>(), 80);
+        assert_eq!(size_of::<Slot>(), 88);
     }
 
     #[test]

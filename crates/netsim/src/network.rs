@@ -50,7 +50,7 @@ pub(crate) const SAMPLE_LANE: u16 = 0xFFFE;
 ///
 /// Events carry [`PacketRef`] pool handles and `u32` device indices, not
 /// packets: an `Event` is 16 bytes and its `ScheduledEvent` 32 (a unit test
-/// pins both), so event-queue heap sifts stop memcpying ~120-byte packet
+/// pins both), so event-queue heap sifts stop memcpying 80-byte packet
 /// structs around.
 #[derive(Debug)]
 pub enum Event {
@@ -114,7 +114,7 @@ impl std::fmt::Debug for Port {
 
 /// A TCP endpoint living on a host, or a vacated endpoint slot.
 ///
-/// `Sender` outweighs `Receiver` (~450 vs ~230 bytes); hosts hold a handful
+/// `Sender` outweighs `Receiver` (576 vs 232 bytes); hosts hold a handful
 /// of endpoint slots driven by `&mut` on the per-packet path, so the inline
 /// layout beats boxing the large variant — the wasted bytes per `Rx` slot
 /// are cheaper than an extra pointer chase per delivered segment.
@@ -206,6 +206,8 @@ impl Host {
                 idx
             }
             None => {
+                grow_by_half(&mut self.ep_flow);
+                grow_by_half(&mut self.eps);
                 self.ep_flow.push(flow);
                 self.eps.push(ep);
                 (self.eps.len() - 1) as u32
@@ -222,6 +224,16 @@ impl Host {
         self.ep_flow[idx as usize] = FlowId(0);
         self.free_slots.push(idx);
         std::mem::replace(&mut self.eps[idx as usize], Endpoint::Free)
+    }
+}
+
+/// Make room for one more element in a full `v` by growing it by half its
+/// length (at least 1). `Vec`'s own doubling starts at 4 slots, which for
+/// ~580-byte endpoints more than doubles the table of a host serving one or
+/// two flows; growing by half stays amortised for hosts with dozens.
+fn grow_by_half<T>(v: &mut Vec<T>) {
+    if v.len() == v.capacity() {
+        v.reserve_exact((v.len() / 2).max(1));
     }
 }
 
@@ -1875,6 +1887,21 @@ mod tests {
     use crate::MAX_DEVICES_PER_KIND;
     use simevent::ScheduledEvent;
     use std::mem::size_of;
+
+    /// A host's endpoint table grows by half, not by doubling from 4: a
+    /// fat-tree host serving two flows holds two ~580-byte slots, not four.
+    #[test]
+    fn endpoint_tables_grow_by_half() {
+        let mut v: Vec<Endpoint> = Vec::new();
+        let mut caps = Vec::new();
+        for _ in 0..20 {
+            grow_by_half(&mut v);
+            v.push(Endpoint::Free);
+            caps.push(v.capacity());
+        }
+        caps.dedup();
+        assert_eq!(caps, [1, 2, 3, 4, 6, 9, 13, 19, 28]);
+    }
 
     /// Every pending event is sifted through the scheduler's heap, so its
     /// record size is a throughput budget: a field widened here costs the

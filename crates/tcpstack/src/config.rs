@@ -41,7 +41,8 @@ pub struct TcpConfig {
     pub mss: u32,
     /// Initial congestion window, in segments.
     pub init_cwnd_segments: u32,
-    /// Receiver window in bytes (flow-control cap on bytes in flight).
+    /// Receiver window in bytes (flow-control cap on bytes in flight); at
+    /// most 2^30, RFC 7323's largest scaled window.
     pub recv_wnd: u64,
     /// Lower bound for the retransmission timeout. Linux default is 200 ms;
     /// data-centre tunings go to single-digit milliseconds (ablation knob).
@@ -145,6 +146,13 @@ impl TcpConfig {
             self.recv_wnd >= self.mss as u64,
             "recv_wnd must hold at least one segment"
         );
+        // RFC 7323's largest scaled window; it also keeps every SACK block
+        // within the `u32` offset range `netpacket::SackBlocks` stores.
+        assert!(
+            self.recv_wnd <= 1 << 30,
+            "recv_wnd must be at most 2^30 bytes (RFC 7323), got {}",
+            self.recv_wnd
+        );
         assert!(self.min_rto > SimDuration::ZERO);
         assert!(
             self.initial_rto >= self.min_rto,
@@ -199,6 +207,21 @@ mod tests {
         TcpConfig {
             mss: 0,
             ..Default::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "recv_wnd must be at most 2^30 bytes")]
+    fn oversized_window_rejected() {
+        let largest = TcpConfig {
+            recv_wnd: 1 << 30,
+            ..Default::default()
+        };
+        largest.validate();
+        TcpConfig {
+            recv_wnd: largest.recv_wnd + 1,
+            ..largest
         }
         .validate();
     }

@@ -188,10 +188,11 @@ impl Receiver {
             self.stats.ece_acks_sent += 1;
         }
         // SACK option: report up to three out-of-order islands.
+        let ack = self.reassembly.rcv_nxt();
         let mut sack = netpacket::SackBlocks::EMPTY;
         if self.cfg.sack {
             for (s, e) in self.reassembly.islands().take(3) {
-                sack.push(s, e);
+                sack.push(ack, s, e);
             }
         }
         let pkt = Packet {
@@ -200,7 +201,7 @@ impl Receiver {
             src: self.local,
             dst: self.peer,
             seq: 1, // receiver sends no data; its seq is parked after the SYN
-            ack: self.reassembly.rcv_nxt(),
+            ack,
             payload: 0,
             flags,
             // Pure ACKs are never ECT — the crux — except under ECN++.

@@ -812,7 +812,7 @@ impl TcpAgent for Sender {
                     return;
                 }
                 if self.cfg.sack {
-                    for (bs, be) in pkt.sack.iter() {
+                    for (bs, be) in pkt.sack.iter(pkt.ack) {
                         // Clamp to what we actually sent; ignore stale blocks.
                         let bs = bs.max(self.cong.snd_una);
                         let be = be.min(self.max_sent);

@@ -734,12 +734,12 @@ fn sack_blocks_respect_capacity() {
     use netpacket::SackBlocks;
     let mut b = SackBlocks::EMPTY;
     assert!(b.is_empty());
-    b.push(10, 20);
-    b.push(30, 40);
-    b.push(50, 60);
-    b.push(70, 80); // beyond capacity: ignored
-    b.push(5, 5); // empty: ignored
+    b.push(0, 10, 20);
+    b.push(0, 30, 40);
+    b.push(0, 50, 60);
+    b.push(0, 70, 80); // beyond capacity: ignored
+    b.push(0, 5, 5); // empty: ignored
     assert_eq!(b.len(), 3);
-    let v: Vec<_> = b.iter().collect();
+    let v: Vec<_> = b.iter(0).collect();
     assert_eq!(v, vec![(10, 20), (30, 40), (50, 60)]);
 }

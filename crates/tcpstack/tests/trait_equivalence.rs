@@ -547,7 +547,7 @@ mod legacy {
                         return;
                     }
                     if self.cfg.sack {
-                        for (bs, be) in pkt.sack.iter() {
+                        for (bs, be) in pkt.sack.iter(pkt.ack) {
                             let bs = bs.max(self.cong.snd_una);
                             let be = be.min(self.max_sent);
                             self.sacked.insert(bs, be);
@@ -724,7 +724,7 @@ fn run_script(
                     let bs = cum_ack + off * MSS;
                     let be = (bs + len * MSS).min(high_sent.max(bs));
                     if be > bs {
-                        blocks.push(bs, be);
+                        blocks.push(cum_ack, bs, be);
                     }
                 }
                 let pkt = ack_pkt(cum_ack, ece, blocks);

@@ -12,8 +12,11 @@ use ecn_core::ProtectionMode;
 use experiments::scenario::{
     run_scenario_once, BufferDepth, QueueKind, RunMetrics, ScenarioConfig, TopologyKind, Transport,
 };
+use mrsim::{JobSpec, TerasortJob};
+use netpacket::PacketKind;
+use netsim::{ClusterSpec, Network, Simulation, Topology};
 use simevent::SimDuration;
-use tcpstack::CcAlg;
+use tcpstack::{CcAlg, TcpConfig};
 
 /// The tiny DCTCP / RED[ack+syn] / 500 µs point at seed 7.
 fn point(topology: TopologyKind, shards: Option<u32>) -> RunMetrics {
@@ -163,3 +166,84 @@ fn every_discipline_output_is_pinned() {
         assert_eq!(got, want, "{} (cc {cc:?}) output changed", queue.label());
     }
 }
+
+/// The tiny TCP (no ECN) / RED[default] / shallow / 500 µs point at seed 7,
+/// with SACK on or off. `run_scenario_once` always runs SACK off, so this
+/// builds the same simulation through the public `netsim`/`mrsim` API. RED
+/// early-drops non-ECT data here, so receivers hold out-of-order islands
+/// and their ACKs carry SACK blocks.
+fn sack_point(sack: bool) -> RunMetrics {
+    let cfg = ScenarioConfig {
+        seed: 7,
+        ..ScenarioConfig::tiny()
+    };
+    let transport = Transport::Tcp;
+    let topo = Topology::TwoTier(ClusterSpec {
+        racks: cfg.racks,
+        hosts_per_rack: cfg.hosts_per_rack,
+        host_link: cfg.host_link,
+        uplink: cfg.uplink,
+        switch_qdisc: cfg.qdisc(
+            QueueKind::Red(ProtectionMode::Default),
+            BufferDepth::Shallow,
+            SimDuration::from_micros(500),
+        ),
+        host_buffer_packets: 4 * cfg.deep_packets,
+        seed: cfg.seed,
+    });
+    let n = topo.total_hosts();
+    let job = JobSpec {
+        input_bytes_per_node: cfg.input_bytes_per_node,
+        map_waves: cfg.map_waves,
+        map_rate_bps: 100_000_000,
+        reduce_rate_bps: 200_000_000,
+        tcp: TcpConfig {
+            recv_wnd: 128 << 10,
+            sack,
+            ..TcpConfig::with_ecn(transport.ecn_mode())
+        },
+        parallel_copies: 5,
+        shuffle_jitter: cfg.shuffle_jitter,
+        seed: cfg.seed ^ 0x5EED,
+    };
+    let mut sim = Simulation::new(Network::from_topology(topo), TerasortJob::new(job, n));
+    sim.time_limit = cfg.time_limit;
+    let report = sim.run();
+    let res = sim.app.result();
+    let span = res.shuffle_done.since(res.first_flow_at);
+    let port = sim.net.port_stats().total;
+    let tx = sim.net.sender_stats_total();
+    RunMetrics {
+        runtime_s: res.runtime.as_secs_f64(),
+        throughput_per_node_bps: res.shuffle_bytes as f64 * 8.0 / span.as_secs_f64() / n as f64,
+        mean_latency_s: sim.net.latency().mean().as_secs_f64(),
+        p99_latency_s: sim.net.latency().quantile(0.99).as_secs_f64(),
+        acks_early_dropped: port.dropped_early.get(PacketKind::PureAck),
+        handshake_early_dropped: port.dropped_early.get(PacketKind::Syn)
+            + port.dropped_early.get(PacketKind::SynAck),
+        data_marked: port.marked.get(PacketKind::Data),
+        full_drops: port.dropped_full.total(),
+        timeouts: tx.timeouts,
+        fast_retransmits: tx.fast_retransmits,
+        syn_retransmits: tx.syn_retransmits,
+        cc_fallbacks: tx.cc_fallbacks,
+        completed: report.app_done,
+    }
+}
+
+/// Pins the SACK path: the blocks a receiver writes into its ACKs and the
+/// sender reads back. The SACK-off run must differ, or the blocks are not
+/// being read at all.
+#[test]
+fn sack_output_is_pinned() {
+    let on = format!("{:?}", sack_point(true));
+    let off = format!("{:?}", sack_point(false));
+    assert_ne!(on, off, "SACK blocks changed nothing");
+    assert_eq!(on, SACK_ON);
+}
+
+const SACK_ON: &str =
+    "RunMetrics { runtime_s: 0.480118645, throughput_per_node_bps: 57138734.44712217, \
+    mean_latency_s: 0.000274062, p99_latency_s: 0.001979072, acks_early_dropped: 100, \
+    handshake_early_dropped: 0, data_marked: 0, full_drops: 0, timeouts: 10, \
+    fast_retransmits: 37, syn_retransmits: 0, cc_fallbacks: 0, completed: true }";
