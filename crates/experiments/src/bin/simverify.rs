@@ -2,8 +2,7 @@
 //!
 //! Re-runs the pinned scenario grid under N seeded permutations of
 //! same-instant tie-break order and fails (exit 1) on any metrics or trace
-//! divergence; also asserts the production FIFO order is run-to-run
-//! reproducible. Artifacts for diverging cells are left under
+//! divergence. Artifacts for diverging cells are left under
 //! `results/simverify/<cell>/` (CI uploads them on failure).
 //!
 //! ```text

@@ -35,9 +35,9 @@ pub struct CliArgs {
     /// `--cc reno|dctcp|cubic|bbr|prague`: override every flow's congestion
     /// controller. `None` keeps each transport's native pairing.
     pub cc: Option<tcpstack::CcAlg>,
-    /// `--shards N`: run every point on the sharded parallel engine with `N`
-    /// workers (capped at the rack/pod count). Output is byte-identical at
-    /// every `N`; omit the flag for the classic serial loop.
+    /// `--shards N`: run every point on `N` worker shards (capped at the
+    /// rack/pod count). Output is byte-identical at every `N`; omitting the
+    /// flag runs one shard.
     pub shards: Option<u32>,
     /// `--topology two-tier|fat-tree:K`: fabric override. `None` keeps the
     /// scenario's default (the paper's two-tier cluster).

@@ -153,12 +153,9 @@ pub struct ScenarioConfig {
     /// The fabric shape. Serialized into the sweep cache key like every
     /// other field, so switching topologies re-keys cached points.
     pub topology: TopologyKind,
-    /// Worker shards for the parallel engine (`--shards`). `None` runs the
-    /// classic serial event loop; `Some(n)` — including `Some(1)` — runs the
-    /// windowed engine, whose output is byte-identical at every shard count
-    /// (that invariance is CI-enforced). Part of the sweep cache key: the
-    /// engines order same-instant events differently, so their points must
-    /// not share cache entries.
+    /// Worker shards for the engine (`--shards`). `None` means one shard.
+    /// The output is byte-identical at every shard count (that invariance
+    /// is CI-enforced). Part of the sweep cache key like every other field.
     pub shards: Option<u32>,
     /// Racks in the cluster.
     pub racks: u32,
@@ -188,11 +185,11 @@ pub struct ScenarioConfig {
     /// [`TcpConfig::with_cc`]). Part of the sweep cache key: adding the
     /// field re-keys every cached point.
     pub cc: Option<CcAlg>,
-    /// Same-instant tie-break permutation seed. `None` (the default, and the
-    /// production contract) pops same-timestamp events FIFO; `Some(seed)`
-    /// runs the whole simulation under `TieBreak::Permuted(seed)` — the
-    /// `simverify` hook that proves results are tie-break-order independent.
-    /// Part of the sweep cache key like every other field.
+    /// Same-instant tie-break permutation seed. `None` (the default) runs
+    /// the engine's fixed permutation; `Some(seed)` runs the whole
+    /// simulation under `TieBreak::Permuted(seed)` — the `simverify` hook
+    /// that proves results are tie-break-order independent. Part of the
+    /// sweep cache key like every other field.
     pub tie_seed: Option<u64>,
     /// Base RNG seed.
     pub seed: u64,
@@ -326,8 +323,8 @@ impl ScenarioConfig {
 /// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
-    /// The simulator's event loop: the classic loop, or the windowed engine
-    /// when [`ScenarioConfig::shards`] is set.
+    /// The simulator's one event loop, the windowed engine, on
+    /// [`ScenarioConfig::shards`] shards.
     Fast,
 }
 
@@ -501,10 +498,7 @@ pub fn run_scenario_once_full(
         sim.tie_break = simevent::TieBreak::Permuted(tie_seed);
     }
     let Engine::Fast = engine;
-    let report = match cfg.shards {
-        Some(shards) => sim.run_sharded(shards as usize),
-        None => sim.run(),
-    };
+    let report = sim.run_sharded(cfg.shards.unwrap_or(1) as usize);
 
     let pool = sim.net.pool_stats();
     let res = sim.app.result();

@@ -32,9 +32,11 @@ use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Bumped whenever the cache entry layout (not the cached values) changes;
-/// part of every cache key, so stale-layout entries simply miss.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+/// Bumped whenever the cache entry layout changes, or the simulation's
+/// output for an unchanged key does (version 2: `shards: None` left the
+/// serial loop for the windowed engine); part of every cache key, so stale
+/// entries simply miss.
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// Where (and whether) point results are cached.
 #[derive(Debug, Clone, PartialEq, Eq)]

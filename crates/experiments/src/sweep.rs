@@ -304,8 +304,8 @@ mod tests {
             );
         }
 
-        // The engine choice and the fabric both change results, so each must
-        // re-key the content-addressed cache.
+        // The shard count and the fabric are part of the key like every
+        // other field, so each re-keys the content-addressed cache.
         let mut sharded = base.clone();
         sharded.config.shards = Some(2);
         let sharded_json = key_json(&sharded);
@@ -314,11 +314,7 @@ mod tests {
 
         let mut one = base.clone();
         one.config.shards = Some(1);
-        assert_ne!(
-            key_json(&one),
-            sharded_json,
-            "shards=1 still runs the windowed engine and is its own key"
-        );
+        assert_ne!(key_json(&one), sharded_json, "shards=1 is its own key");
 
         let mut fat = base.clone();
         fat.config.topology = TopologyKind::FatTree { k: 4 };

@@ -137,6 +137,14 @@ fn steady_state_dctcp_point_performs_no_per_packet_allocation() {
         pool.inserts, warm_pool.inserts,
         "deterministic insert count"
     );
+    // The counters are the shard pools' own: every delivered packet was
+    // inserted once, and some packets were live at once.
+    assert!(
+        pool.inserts >= packets,
+        "{} pool inserts for {packets} delivered packets",
+        pool.inserts
+    );
+    assert!(pool.high_water > 0, "the pool never held a packet");
     // The pool itself must only have heap-allocated on slab growth, which
     // stops at the live high-water mark (packets in flight plus queued) —
     // a function of buffer depths, not of the packet count.

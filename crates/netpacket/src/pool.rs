@@ -77,6 +77,17 @@ pub struct PoolStats {
     pub high_water: u32,
 }
 
+impl PoolStats {
+    /// Fold in another pool's counters: inserts and allocations add up, and
+    /// so do the high-water marks — the most the pools could have held at
+    /// once, exact for a single pool.
+    pub fn merge(&mut self, other: &PoolStats) {
+        self.inserts += other.inserts;
+        self.heap_allocs += other.heap_allocs;
+        self.high_water += other.high_water;
+    }
+}
+
 /// A slab of reusable packet slots with a free list.
 ///
 /// See the [module docs](self) for the design. Not thread-safe by design —

@@ -26,7 +26,7 @@ mod topology;
 pub use apps::{jain_fairness, LatencyProbes, PairApp};
 pub use link::LinkSpec;
 pub use network::{DevRef, Event, FlowRecord, Network, PortStatsReport};
-pub use sim::{Application, RunReport, Simulation, StaticFlows};
+pub use sim::{Application, RunOutcome, RunReport, Simulation, StaticFlows};
 pub use topology::{ClusterSpec, FatTreeSpec, Topology, MAX_DEVICES_PER_KIND};
 
 // The sweep orchestrator (experiments::simsweep) evaluates independent

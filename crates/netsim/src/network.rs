@@ -4,8 +4,8 @@ use crate::link::LinkSpec;
 use crate::topology::{ClusterSpec, FatTreeSpec, Topology};
 use ecn_core::{build_qdisc, DropTail};
 use netpacket::{
-    EnqueueOutcome, FlowId, NodeId, Packet, PacketKind, PacketPool, PacketRef, QueueDiscipline,
-    QueueStats,
+    EnqueueOutcome, FlowId, NodeId, Packet, PacketKind, PacketPool, PacketRef, PoolStats,
+    QueueDiscipline, QueueStats,
 };
 use simevent::{SimDuration, SimTime};
 use simmetrics::{LatencyHistogram, QueueSample, QueueTrace, ThroughputMeter};
@@ -91,8 +91,7 @@ pub enum Event {
 /// The transmitter is batched: it tracks only `busy_until`/`wakeup_armed`.
 /// The departing packet's `Arrive` is scheduled at transmission start (its
 /// arrival instant is already known), and a `PortFree` wakeup is armed only
-/// while the queue is contended. The classic loop and the windowed engine
-/// share this machine.
+/// while the queue is contended.
 struct Port {
     qdisc: Box<dyn QueueDiscipline + Send>,
     link: LinkSpec,
@@ -240,13 +239,16 @@ fn grow_by_half<T>(v: &mut Vec<T>) {
 /// Where a flow's two endpoints live: host index plus endpoint-slot index on
 /// that host ([`NO_SLOT`] when this network holds no such endpoint: a
 /// foreign host on a shard slice, or a retired flow). Indexed by
-/// `FlowId - 1` (ids are dense, starting at 1).
+/// `FlowId - 1` (ids are dense, starting at 1). Shards hold these and no
+/// [`FlowRecord`]s: devices read only where a flow's endpoints are.
 #[derive(Debug, Clone, Copy)]
 struct FlowSlot {
     src_host: u32,
     tx_idx: u32,
     dst_host: u32,
     rx_idx: u32,
+    /// The flow's sender completed here (its completion is reported once).
+    done: bool,
     /// The flow's endpoints were freed (see [`Network::retire_flow`]).
     retired: bool,
 }
@@ -261,6 +263,7 @@ impl FlowSlot {
             tx_idx: NO_SLOT,
             dst_host: dst.0,
             rx_idx: NO_SLOT,
+            done: false,
             retired: false,
         }
     }
@@ -426,8 +429,8 @@ pub struct PortStatsReport {
     pub ports: Vec<(String, QueueStats)>,
 }
 
-/// A flow whose endpoints a split hull could not create locally: the sharded
-/// engine installs it on the shard(s) owning each side.
+/// A started flow, as [`Network::install_flow`] creates its endpoints: on
+/// the shard(s) owning each side, or directly on an unsplit network.
 #[derive(Debug, Clone)]
 pub(crate) struct DeferredFlow {
     pub(crate) flow: FlowId,
@@ -440,12 +443,12 @@ pub(crate) struct DeferredFlow {
 
 /// The simulated cluster.
 ///
-/// One `Network` value plays three roles over a sharded run's lifetime: the
-/// full serial network (device maps empty = identity), a per-shard slice
-/// (devices compacted, global→local maps installed, events keep *global*
-/// device indices), and the coordinator's *hull* (devices moved out, flow
-/// master tables retained, `add_flow` deferring endpoint creation). The
-/// serial code paths never see the non-identity cases.
+/// One `Network` value plays three roles over a run's lifetime: the full
+/// network before and after the run (device maps empty = identity), a
+/// per-shard slice during it (devices compacted, global→local maps
+/// installed, events keep *global* device indices), and the coordinator's
+/// *hull* (devices moved out, flow records retained, `add_flow` deferring
+/// endpoint creation to the shards).
 #[derive(Debug)]
 pub struct Network {
     topo: Topology,
@@ -462,13 +465,16 @@ pub struct Network {
     /// Local slot → global switch id. Empty = identity.
     sw_ids: Vec<u32>,
     /// `Some` while this network is a split hull: [`Network::add_flow`]
-    /// records the flow in the master tables and defers endpoint creation.
+    /// records the flow and defers endpoint creation to the shards.
     deferred: Option<Vec<DeferredFlow>>,
-    /// Flow records, indexed by `FlowId - 1` (ids are dense, allocated here).
+    /// Flow records, indexed by `FlowId - 1` (ids are dense, allocated
+    /// here): the application's view, kept by the hull. Shard slices hold
+    /// none.
     flows: Vec<FlowRecord>,
     /// Records in `flows` with a completion time.
     completed_count: usize,
-    /// Endpoint locations, parallel to `flows`.
+    /// Endpoint locations, indexed like `flows`: kept by every network that
+    /// holds endpoints (the shard slices). The hull holds none.
     flow_slots: Vec<FlowSlot>,
     /// Events generated since the last drain, each tagged with the lane of
     /// the *producing* entity ([`dev_lane`], or a reserved lane). The sim
@@ -479,13 +485,18 @@ pub struct Network {
     pending: Vec<(SimTime, u16, Event)>,
     /// The packet arena every [`Event::Arrive`] and port queue indexes into.
     pool: PacketPool,
+    /// The counters of the shard slices' pools, folded in by
+    /// [`Network::unsplit`]; [`Network::pool_stats`] adds them to `pool`'s.
+    shard_pools: PoolStats,
     /// Scratch buffer reused by [`Network::flush_host`] so the per-packet hot
     /// path does not allocate.
     flush_buf: Vec<Packet>,
     /// Scratch buffer reused by [`Network::host_timers`] for the matured
     /// endpoint set — the seed allocated a fresh `Vec` per timer event.
     due_buf: Vec<u32>,
-    completed: Vec<FlowId>,
+    /// Flows whose sender completed since the last
+    /// [`Network::take_completed`], with their completion times.
+    completed: Vec<(FlowId, SimTime)>,
     /// Flows to test for retirement: completions recorded here since the
     /// last check. The pool's zero reports join them at check time.
     retire_check: Vec<FlowId>,
@@ -794,11 +805,14 @@ impl Network {
             Topology::TwoTier(spec) => build_two_tier(spec),
             Topology::FatTree(spec) => build_fat_tree(spec),
         };
-        let total_hosts = topo.total_hosts();
+        Self::with_devices(topo, hosts, switches)
+    }
 
+    /// A network over `topo` holding the given devices and nothing else.
+    fn with_devices(topo: Topology, hosts: Vec<Host>, switches: Vec<Switch>) -> Self {
         Network {
+            total_hosts: topo.total_hosts(),
             topo,
-            total_hosts,
             hosts,
             switches,
             host_map: Vec::new(),
@@ -811,6 +825,7 @@ impl Network {
             flow_slots: Vec::new(),
             pending: Vec::new(),
             pool: PacketPool::new(),
+            shard_pools: PoolStats::default(),
             flush_buf: Vec::new(),
             due_buf: Vec::new(),
             completed: Vec::new(),
@@ -922,7 +937,8 @@ impl Network {
     /// Start a `bytes`-long TCP transfer from `src` to `dst`.
     ///
     /// The receiver is pre-attached (as in NS-2); the SYN still travels and
-    /// can be dropped.
+    /// can be dropped. During a run the network is the hull, which records
+    /// the flow and leaves its endpoints to the shards that own the hosts.
     pub fn add_flow(
         &mut self,
         src: NodeId,
@@ -935,42 +951,6 @@ impl Network {
         let n = self.total_hosts as usize;
         assert!((src.0 as usize) < n && (dst.0 as usize) < n);
         let flow = FlowId(self.flows.len() as u64 + 1);
-        if let Some(deferred) = &mut self.deferred {
-            // Split hull: allocate the id and the master record here (so ids
-            // stay dense and globally ordered), let the sharded engine create
-            // the endpoints on the owning shards.
-            deferred.push(DeferredFlow {
-                flow,
-                src,
-                dst,
-                bytes,
-                cfg,
-                now,
-            });
-            self.flow_slots.push(FlowSlot::new(src, dst));
-            self.flows.push(FlowRecord {
-                flow,
-                src,
-                dst,
-                bytes,
-                started: now,
-                completed: None,
-            });
-            return flow;
-        }
-        let mut sender = Sender::new(flow, src, dst, bytes, cfg.clone(), now);
-        sender.set_trace(self.pkt_trace.clone());
-        let receiver = Receiver::new(flow, dst, src, cfg);
-
-        // The receiving host is not flushed (the original code did not
-        // flush it either); `attach` keeps its deadline heap valid.
-        let rx_idx = self.hosts[dst.0 as usize].attach(flow, Endpoint::Rx(receiver));
-        let tx_idx = self.hosts[src.0 as usize].attach(flow, Endpoint::Tx(sender));
-        self.flow_slots.push(FlowSlot {
-            tx_idx,
-            rx_idx,
-            ..FlowSlot::new(src, dst)
-        });
         self.flows.push(FlowRecord {
             flow,
             src,
@@ -979,7 +959,18 @@ impl Network {
             started: now,
             completed: None,
         });
-        self.flush_host(src.0, now, &[tx_idx]);
+        let d = DeferredFlow {
+            flow,
+            src,
+            dst,
+            bytes,
+            cfg,
+            now,
+        };
+        match &mut self.deferred {
+            Some(deferred) => deferred.push(d),
+            None => self.install_flow(&d),
+        }
         flow
     }
 
@@ -988,7 +979,8 @@ impl Network {
         self.pending.push((at, APP_LANE, Event::AppTimer { token }));
     }
 
-    /// Record queue-occupancy samples of one switch port every `interval`.
+    /// Record queue-occupancy samples of one switch port every `interval`,
+    /// from t=0 of the next run.
     pub fn enable_queue_trace(
         &mut self,
         switch: usize,
@@ -1004,8 +996,11 @@ impl Network {
             interval,
             trace: QueueTrace::new(max_samples),
         });
-        self.pending
-            .push((SimTime::ZERO, SAMPLE_LANE, Event::Sample));
+    }
+
+    /// The global id of the switch whose queue depth is sampled, if any.
+    pub(crate) fn sampled_switch(&self) -> Option<usize> {
+        self.trace.as_ref().map(|t| t.switch)
     }
 
     /// The recorded queue trace, if tracing was enabled.
@@ -1197,7 +1192,7 @@ impl Network {
         if self.pkt_trace.is_enabled() {
             if let Some(&qid) = self
                 .switch_qids
-                .get(ts.switch)
+                .get(si)
                 .and_then(|ports| ports.get(ts.port))
             {
                 let mut ev = TraceEvent::new(EventKind::QueueDepth, now);
@@ -1226,8 +1221,7 @@ impl Network {
         let hi = self.hidx(h);
         let Network {
             hosts,
-            flows,
-            completed_count,
+            flow_slots,
             pending,
             completed,
             retire_check,
@@ -1250,11 +1244,10 @@ impl Network {
             if let Endpoint::Tx(s) = &host.eps[idx as usize] {
                 if s.is_complete() {
                     let flow = host.ep_flow[idx as usize];
-                    let rec = &mut flows[flow_index(flow).expect("flow id 0 is invalid")];
-                    if rec.completed.is_none() {
-                        rec.completed = Some(s.completed_at().unwrap_or(now));
-                        *completed_count += 1;
-                        completed.push(flow);
+                    let slot = &mut flow_slots[flow_index(flow).expect("flow id 0 is invalid")];
+                    if !slot.done {
+                        slot.done = true;
+                        completed.push((flow, s.completed_at().unwrap_or(now)));
                         // From now on the pool reports the flow's last
                         // packet leaving; either event may retire it.
                         pool.watch(flow);
@@ -1295,16 +1288,19 @@ impl Network {
 
     // ----- sharded-engine support -------------------------------------------
     //
-    // `crate::shard` runs one simulation over N worker threads: the hull
-    // (this network, devices moved out) keeps the master flow tables and the
-    // application interface; each shard network owns a device subset and the
-    // packets currently inside it. Everything here is crate-internal — the
-    // public surface is `Simulation::run_sharded`.
+    // `crate::shard` runs every simulation over N shards: the hull (this
+    // network, devices moved out) keeps the flow records and the
+    // application interface; each shard network owns a device subset, the
+    // endpoint locations of every flow and the packets currently inside it.
+    // Everything here is crate-internal — the public surface is
+    // `Simulation::run` and its siblings.
 
     /// Move the devices out into per-shard networks. `host_shard[h]` /
     /// `sw_shard[s]` give the owning shard of each global device id. `self`
     /// becomes the hull: [`Network::add_flow`] defers endpoint creation until
-    /// the engine installs the flow on its owning shards.
+    /// the engine installs the flow on its owning shards. Queue-depth
+    /// sampling, with its first sample, moves to the shard owning the
+    /// sampled switch; application timers stay pending on the hull.
     ///
     /// Must be called before any flow or packet exists — shards get fresh
     /// packet pools, so there is no state to migrate.
@@ -1315,11 +1311,6 @@ impl Network {
         shards: usize,
     ) -> Vec<Network> {
         assert!(self.flows.is_empty(), "split() requires a pristine network");
-        assert!(self.pending.is_empty(), "split() with pending events");
-        assert!(
-            self.trace.is_none(),
-            "queue-depth sampling is serial-only; disable it for sharded runs"
-        );
         assert!(self.host_map.is_empty(), "cannot split a shard slice");
         assert_eq!(host_shard.len(), self.hosts.len());
         assert_eq!(sw_shard.len(), self.switches.len());
@@ -1332,34 +1323,9 @@ impl Network {
 
         let mut out: Vec<Network> = (0..shards)
             .map(|_| Network {
-                topo: self.topo.clone(),
-                total_hosts: self.total_hosts,
-                hosts: Vec::new(),
-                switches: Vec::new(),
                 host_map: vec![u32::MAX; host_shard.len()],
                 sw_map: vec![u32::MAX; sw_shard.len()],
-                host_ids: Vec::new(),
-                sw_ids: Vec::new(),
-                deferred: None,
-                flows: Vec::new(),
-                completed_count: 0,
-                flow_slots: Vec::new(),
-                pending: Vec::new(),
-                pool: PacketPool::new(),
-                flush_buf: Vec::new(),
-                due_buf: Vec::new(),
-                completed: Vec::new(),
-                retire_check: Vec::new(),
-                retired: RetiredTotals::default(),
-                latency_all: LatencyHistogram::new(),
-                latency_data: LatencyHistogram::new(),
-                latency_ack: LatencyHistogram::new(),
-                throughput: ThroughputMeter::new(),
-                trace: None,
-                pkt_trace: TraceHandle::null(),
-                host_qids: Vec::new(),
-                switch_qids: Vec::new(),
-                orphan_packets: 0,
+                ..Network::with_devices(self.topo.clone(), Vec::new(), Vec::new())
             })
             .collect();
 
@@ -1381,6 +1347,11 @@ impl Network {
             }
             sh.switches.push(sw);
         }
+        if let Some(ts) = self.trace.take() {
+            let sh = &mut out[sw_shard[ts.switch] as usize];
+            sh.pending.push((SimTime::ZERO, SAMPLE_LANE, Event::Sample));
+            sh.trace = Some(ts);
+        }
         self.deferred = Some(Vec::new());
         out
     }
@@ -1398,21 +1369,22 @@ impl Network {
         let mut switch_qids: Vec<Vec<u32>> = vec![Vec::new(); n_sw];
         let mut traced = false;
 
-        for sh in shards {
+        for mut sh in shards {
             self.latency_all.merge(&sh.latency_all);
             self.latency_data.merge(&sh.latency_data);
             self.latency_ack.merge(&sh.latency_ack);
             self.throughput.merge(&sh.throughput);
             self.orphan_packets += sh.orphan_packets;
-            // Safety net: every completion should already be synced by the
-            // engine's mini-loops; copy any stragglers.
-            for (i, rec) in sh.flows.iter().enumerate() {
-                if self.flows[i].completed.is_none() && rec.completed.is_some() {
-                    self.flows[i].completed = rec.completed;
-                    self.completed_count += 1;
-                }
+            self.shard_pools.merge(&sh.pool.stats());
+            // Completions the engine has not handed to the application yet
+            // (the run stopped first).
+            for (f, at) in sh.take_completed() {
+                self.sync_completion(f, at);
             }
             self.retired.merge(&sh.retired);
+            if sh.trace.is_some() {
+                self.trace = sh.trace;
+            }
             traced |= !sh.host_qids.is_empty();
             for (i, host) in sh.hosts.into_iter().enumerate() {
                 let g = sh.host_ids[i] as usize;
@@ -1490,14 +1462,15 @@ impl Network {
         }
     }
 
-    /// Install one deferred flow on a shard network. Every shard records the
-    /// flow (keeping ids and slots globally dense); only the shard owning an
-    /// endpoint's host creates that endpoint. Mirrors [`Network::add_flow`]:
-    /// receiver first, sender second, source host flushed last.
+    /// Install one deferred flow on a network that holds endpoints: each
+    /// shard, or an unsplit network. Every shard records the flow's slot
+    /// (keeping ids and slots globally dense); only the shard owning an
+    /// endpoint's host creates that endpoint: receiver first, sender
+    /// second, source host flushed last.
     pub(crate) fn install_flow(&mut self, d: &DeferredFlow) {
         debug_assert_eq!(
             flow_index(d.flow),
-            Some(self.flows.len()),
+            Some(self.flow_slots.len()),
             "flows must be installed in id order"
         );
         let mut slot = FlowSlot::new(d.src, d.dst);
@@ -1514,21 +1487,13 @@ impl Network {
             slot.tx_idx = self.hosts[hi].attach(d.flow, Endpoint::Tx(sender));
         }
         self.flow_slots.push(slot);
-        self.flows.push(FlowRecord {
-            flow: d.flow,
-            src: d.src,
-            dst: d.dst,
-            bytes: d.bytes,
-            started: d.now,
-            completed: None,
-        });
         if owns_src {
             let tx_idx = slot.tx_idx;
             self.flush_host(d.src.0, d.now, &[tx_idx]);
         }
     }
 
-    /// Copy a shard-observed completion time into the hull's master record.
+    /// Copy a shard-observed completion time into the hull's flow record.
     pub(crate) fn sync_completion(&mut self, f: FlowId, at: SimTime) {
         if let Some(rec) = flow_index(f).and_then(|i| self.flows.get_mut(i)) {
             if rec.completed.is_none() {
@@ -1554,12 +1519,22 @@ impl Network {
         self.pool.get(r)
     }
 
-    /// Flow metadata needed for completion-candidate checks:
-    /// `(source host, total bytes)`.
-    pub(crate) fn flow_src_bytes(&self, f: FlowId) -> Option<(u32, u64)> {
-        let i = flow_index(f)?;
-        let slot = self.flow_slots.get(i)?;
-        Some((slot.src_host, self.flows[i].bytes))
+    /// Whether `pkt`, arriving at host `h`, might complete its flow: an ACK
+    /// at the flow's sender acknowledging past its last byte (`ack > bytes`
+    /// — the zero-length SYN-only case included). Every real completion is
+    /// an arrival of this shape; see `tcpstack::Sender`. Reads the local
+    /// sender, so a retired flow is never a candidate.
+    pub(crate) fn may_complete(&self, h: u32, pkt: &Packet) -> bool {
+        let Some(slot) = flow_index(pkt.flow).and_then(|i| self.flow_slots.get(i)) else {
+            return false;
+        };
+        if slot.src_host != h || slot.tx_idx == NO_SLOT {
+            return false;
+        }
+        match &self.hosts[self.hidx(h)].eps[slot.tx_idx as usize] {
+            Endpoint::Tx(s) => pkt.ack > s.total_bytes(),
+            _ => unreachable!("flow {}'s sender slot holds another endpoint", pkt.flow),
+        }
     }
 
     // ----- retiring quiescent flows ----------------------------------------
@@ -1570,37 +1545,13 @@ impl Network {
     // then reach the endpoints again — they only act when a segment arrives
     // or a deadline passes — so freeing them changes no output. Their
     // counters fold into `retired`, and the slots go to the hosts' free
-    // lists for new flows. Both loops apply this one rule: the classic loop
-    // through [`Network::retire_quiescent`] after every event, the windowed
-    // engine at barriers and special instants with the live count summed
-    // over every shard's pool (a flow's packets can sit in a shard that
-    // owns neither endpoint).
-
-    /// The classic loop's retire step, run after every event: retire each
-    /// flow that completed, or whose last live packet left the pool, since
-    /// the last call, if it is now quiescent.
-    #[inline]
-    pub(crate) fn retire_quiescent(&mut self) {
-        if !self.retire_check.is_empty() || self.pool.has_zeroed() {
-            self.retire_checked();
-        }
-    }
-
-    fn retire_checked(&mut self) {
-        let mut check = std::mem::take(&mut self.retire_check);
-        self.pool.take_zeroed(&mut check);
-        for &f in &check {
-            if self.pool.flow_live(f) == 0 && self.endpoints_idle(f) {
-                self.retire_flow(f);
-            }
-        }
-        check.clear();
-        self.retire_check = check;
-    }
+    // lists for new flows. The engine applies this rule at barriers and
+    // special instants, with the live count summed over every shard's pool
+    // (a flow's packets can sit in a shard that owns neither endpoint).
 
     /// Move the flows this shard slice saw complete, and the watched flows
-    /// whose count in its pool reached zero, into `out` — the windowed
-    /// engine's retirement candidates.
+    /// whose count in its pool reached zero, into `out` — the engine's
+    /// retirement candidates.
     pub(crate) fn take_retire_candidates(&mut self, out: &mut Vec<FlowId>) {
         out.append(&mut self.retire_check);
         self.pool.take_zeroed(out);
@@ -1649,16 +1600,17 @@ impl Network {
             self.retired.bytes_received += r.bytes_received();
         }
         self.flow_slots[i] = FlowSlot {
+            tx_idx: NO_SLOT,
+            rx_idx: NO_SLOT,
             retired: true,
-            ..FlowSlot::new(self.flows[i].src, self.flows[i].dst)
+            ..slot
         };
     }
 
     /// Release-mode packet conservation, checked at the end of every run:
     /// each flow's live count in the pool equals its resident packets and
     /// the counts sum to the pool's live count, and no retired flow has a
-    /// live packet. `shard` names this network in the panic (0 for the
-    /// classic loop).
+    /// live packet. `shard` names this network in the panic.
     pub(crate) fn check_packet_conservation(&self, shard: usize) {
         if let Err(m) = self.pool.check_flow_counts() {
             match m.flow {
@@ -1724,8 +1676,9 @@ impl Network {
         }
     }
 
-    /// Take the flows completed since the last call.
-    pub fn take_completed(&mut self) -> Vec<FlowId> {
+    /// Take the flows whose sender completed since the last call, with
+    /// their completion times.
+    pub fn take_completed(&mut self) -> Vec<(FlowId, SimTime)> {
         std::mem::take(&mut self.completed)
     }
 
@@ -1804,9 +1757,12 @@ impl Network {
     }
 
     /// Packet-pool allocation counters (inserts, heap allocations, high-water
-    /// occupancy) — the perf harness's alloc accounting.
-    pub fn pool_stats(&self) -> netpacket::PoolStats {
-        self.pool.stats()
+    /// occupancy) — the perf harness's alloc accounting. After a run they
+    /// sum the shards' pools ([`PoolStats::merge`]).
+    pub fn pool_stats(&self) -> PoolStats {
+        let mut stats = self.pool.stats();
+        stats.merge(&self.shard_pools);
+        stats
     }
 
     /// Aggregate switch-port queue statistics (drop/mark composition — the

@@ -1,18 +1,20 @@
-//! Sharded (conservatively parallel) execution of one simulation.
+//! The event loop: sharded (conservatively parallel) execution of one
+//! simulation.
 //!
 //! [`Simulation::run_sharded`] partitions the fabric's devices into `N`
 //! shards — contiguous racks (two-tier) or pods (fat-tree), each rack/pod's
 //! switches riding with its hosts — and runs them on `simshard`'s persistent
-//! epoch workers. The minimum link propagation delay is the conservative
-//! lookahead: inside a window `[T, T + Δ)` no shard can affect another,
-//! because every cross-shard packet emitted at `t ≥ T` arrives at
-//! `t + tx + Δ ≥ T + Δ`. At window barriers the crews exchange in-flight
-//! packets through [`simshard::CrewHandle::route`], which pins the merge
-//! order to the same `(destination, source)` lane packing that
-//! [`simevent::TieBreak::Permuted`] serialises — so the event order each
-//! device observes is *shard-count invariant*, and `--shards N` produces
-//! byte-identical metrics to `--shards 1` (and canonically identical
-//! traces).
+//! epoch workers; [`Simulation::run`] is the one-shard case. The minimum
+//! link propagation delay is the conservative lookahead: inside a window
+//! `[T, T + Δ)` no shard can affect another, because every cross-shard
+//! packet emitted at `t ≥ T` arrives at `t + tx + Δ ≥ T + Δ`. One shard has
+//! nothing to exchange, so its windows end only at special instants. At
+//! window barriers the crews exchange in-flight packets through
+//! [`simshard::CrewHandle::route`], which pins the merge order to the same
+//! `(destination, source)` lane packing that [`simevent::TieBreak::Permuted`]
+//! serialises — so the event order each device observes is *shard-count
+//! invariant*, and `--shards N` produces byte-identical metrics to
+//! `--shards 1` (and canonically identical traces).
 //!
 //! Anything that is not pure device physics — application callbacks, flow
 //! completions, app timers — happens at *special instants*, where the
@@ -22,9 +24,10 @@
 //! Completion instants are detected conservatively: any ACK arriving at a
 //! flow's source host with `ack > flow.bytes` *might* complete it, and every
 //! such candidate is known one barrier ahead (the segment crossed a link, so
-//! it was scheduled at least one lookahead before it fires). The mini-loop
-//! runs the identical code at every shard count — including one — which is
-//! what the determinism gate in CI byte-checks.
+//! it was scheduled at least one lookahead before it fires); an unbounded
+//! one-shard window also stops at any candidate it notes itself. The
+//! mini-loop runs the identical code at every shard count — including one —
+//! which is what the determinism gate in CI byte-checks.
 //!
 //! Finished flows retire (their endpoints are freed, see
 //! [`Network::retire_flow`]) only while every shard is quiescent: at the
@@ -34,23 +37,52 @@
 //! is summed over every shard's pool, and every shard marks the flow
 //! retired.
 
-use crate::network::{dev_lane, DeferredFlow, DevRef, Event, Network};
-use crate::sim::{event_tie_lane, Application, RunReport, Simulation};
+use crate::network::{dev_lane, DeferredFlow, DevRef, Event, Network, APP_LANE, SAMPLE_LANE};
+use crate::sim::{Application, RunOutcome, RunReport, Simulation};
 use crate::topology::Topology;
 use netpacket::{FlowId, Packet};
-use simevent::{pack_lane, EventQueue, RunOutcome, SimTime, TieBreak};
+use simevent::{pack_lane, EventQueue, QueueBackend, SimTime, TieBreak, TimerHandle};
 use simshard::{run_crew, CrewHandle, EpochWorker, ShardMsg};
 use simtrace::{TraceHandle, VecSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Tie-break seed for shard queues when the simulation is configured with
+/// Tie-break seed of the shard queues when the simulation is configured with
 /// [`TieBreak::Fifo`]. A global FIFO across shards is not implementable
-/// without serialising, so sharded runs always order same-instant events by
+/// without serialising, so the engine always orders same-instant events by
 /// the permuted `(destination, source)` key; a fixed seed keeps that order
 /// identical at every shard count.
 const SHARD_TIE_SEED: u64 = 0x51AD_2017_0905_CDE5;
+
+/// The destination lane of an event: its *handling* entity, which one
+/// shard owns. A host's timers share its device lane; the application and
+/// the queue-depth sampler each get a reserved lane.
+#[inline]
+fn event_dest_lane(ev: &Event) -> u16 {
+    match ev {
+        Event::Arrive { dev, .. } | Event::PortFree { dev, .. } => dev_lane(*dev),
+        Event::HostTimers { host } => dev_lane(DevRef::Host(*host)),
+        Event::AppTimer { .. } => APP_LANE,
+        Event::Sample => SAMPLE_LANE,
+    }
+}
+
+/// Pack an event's (destination, producer) pair into the tie-break lane.
+///
+/// Under [`TieBreak::Permuted`] the key orders same-instant events by
+/// (seeded destination rank, source, FIFO): cross-destination order is
+/// permuted — the freedom the shards have — while one destination's
+/// same-instant inbox keeps a *canonical* per-source order, independent of
+/// the upstream execution interleaving. That is exactly the deterministic
+/// per-channel merge the exchange performs, and it is what makes the
+/// permutation check a sound conformance oracle: without the source key, a
+/// permuted upstream order at time `t` would leak into the seq order of
+/// same-destination arrivals at `t + delay` and diverge on queue physics.
+#[inline]
+fn event_tie_lane(src: u16, ev: &Event) -> u64 {
+    pack_lane(event_dest_lane(ev), src)
+}
 
 /// Which shard owns each global device id.
 #[derive(Debug)]
@@ -59,6 +91,8 @@ pub(crate) struct ShardPlan {
     sw_shard: Vec<u32>,
     /// Effective shard count: `min(requested, racks or pods)`.
     shards: u32,
+    /// The shard owning the switch whose queue depth is sampled, if any.
+    sampler: Option<u32>,
 }
 
 fn block_of(i: u32, blocks: u32, shards: u32) -> u32 {
@@ -91,6 +125,7 @@ impl ShardPlan {
                     host_shard,
                     sw_shard,
                     shards,
+                    sampler: None,
                 }
             }
             Topology::FatTree(spec) => {
@@ -108,6 +143,7 @@ impl ShardPlan {
                     host_shard,
                     sw_shard,
                     shards,
+                    sampler: None,
                 }
             }
         }
@@ -124,8 +160,9 @@ impl ShardPlan {
         match ev {
             Event::Arrive { dev, .. } | Event::PortFree { dev, .. } => self.shard_of_dev(*dev),
             Event::HostTimers { host } => self.host_shard[*host as usize],
-            Event::AppTimer { .. } | Event::Sample => {
-                unreachable!("application events never enter shard queues")
+            Event::Sample => self.sampler.expect("a queue sample with no sampled switch"),
+            Event::AppTimer { .. } => {
+                unreachable!("application timers never enter shard queues")
             }
         }
     }
@@ -139,67 +176,66 @@ pub(crate) struct WireMsg {
 }
 
 /// One shard: a device-subset [`Network`] plus its local event queue.
-pub(crate) struct NetShardWorker {
+pub(crate) struct NetShardWorker<Q> {
     shard: u32,
     net: Network,
     plan: Arc<ShardPlan>,
-    queue: EventQueue<Event>,
+    queue: Q,
     outbox: Vec<ShardMsg<WireMsg>>,
     inbox_buf: Vec<(SimTime, u16, Event)>,
     /// Times at which a flow *might* complete on this shard (min-heap).
     candidates: BinaryHeap<Reverse<SimTime>>,
+    /// The pending [`Event::HostTimers`] of each host, by global host id:
+    /// one per host, so re-arming a host to an earlier deadline cancels the
+    /// superseded event instead of leaving it to fire and re-arm again.
+    timers: Vec<Option<TimerHandle>>,
     events: u64,
     last_event: SimTime,
     peak_pending: usize,
 }
 
-impl NetShardWorker {
+impl<Q: QueueBackend<Event>> NetShardWorker<Q> {
     fn new(shard: u32, net: Network, plan: Arc<ShardPlan>, tie: TieBreak) -> Self {
-        NetShardWorker {
+        let mut w = NetShardWorker {
             shard,
+            timers: vec![None; net.num_hosts()],
             net,
             plan,
-            queue: EventQueue::with_tie_break(tie),
+            queue: Q::with_tie_break(tie),
             outbox: Vec::new(),
             inbox_buf: Vec::new(),
             candidates: BinaryHeap::new(),
             events: 0,
             last_event: SimTime::ZERO,
             peak_pending: 0,
-        }
+        };
+        // The first queue-depth sample, if this shard samples.
+        w.absorb_pending(SimTime::ZERO);
+        w
     }
 
-    /// Conservative completion test: an ACK arriving at the flow's source
-    /// host acknowledging past the last byte (`ack > bytes` — the
-    /// zero-length SYN-only case included) may finish the flow. Every real
-    /// completion is an `Arrive` of this shape; see `tcpstack::Sender`.
+    /// Note an arrival that might complete its flow ([`Network::may_complete`]).
     fn note_candidate(&mut self, at: SimTime, ev: &Event) {
         if let Event::Arrive {
             dev: DevRef::Host(h),
             packet,
         } = ev
         {
-            let pkt = self.net.pool_peek(*packet);
-            if let Some((src, bytes)) = self.net.flow_src_bytes(pkt.flow) {
-                if src == *h && pkt.ack > bytes {
-                    self.candidates.push(Reverse(at));
-                }
+            if self.net.may_complete(*h, self.net.pool_peek(*packet)) {
+                self.candidates.push(Reverse(at));
             }
         }
     }
 
     /// Move the network's freshly generated events into the local queue, or
     /// the outbox when they belong to another shard (only packet arrivals
-    /// ever do — ports, timers, and flushes are device-local).
+    /// ever do — ports, timers, and samples are device-local).
     fn absorb_pending(&mut self, now: SimTime) {
         let mut buf = std::mem::take(&mut self.inbox_buf);
         self.net.swap_pending(&mut buf);
         for (t, src, ev) in buf.drain(..) {
             let t = t.max(now);
-            if self.plan.shard_of_event(&ev) == self.shard {
-                self.note_candidate(t, &ev);
-                self.queue.schedule_in_lane(t, event_tie_lane(src, &ev), ev);
-            } else {
+            if self.plan.shard_of_event(&ev) != self.shard {
                 let Event::Arrive { dev, packet } = ev else {
                     unreachable!("only packet arrivals cross shards")
                 };
@@ -213,6 +249,18 @@ impl NetShardWorker {
                         pkt: self.net.pool_take(packet),
                     },
                 });
+                continue;
+            }
+            let lane = event_tie_lane(src, &ev);
+            if let Event::HostTimers { host } = ev {
+                let pending = &mut self.timers[host as usize];
+                if let Some(h) = pending.take() {
+                    self.queue.cancel(h);
+                }
+                *pending = Some(self.queue.schedule_cancellable_in_lane(t, lane, ev));
+            } else {
+                self.note_candidate(t, &ev);
+                self.queue.schedule_in_lane(t, lane, ev);
             }
         }
         self.inbox_buf = buf;
@@ -222,6 +270,9 @@ impl NetShardWorker {
     fn process(&mut self, at: SimTime, ev: Event) {
         self.events += 1;
         self.last_event = at;
+        if let Event::HostTimers { host } = ev {
+            self.timers[host as usize] = None;
+        }
         self.net.handle(ev, at);
         self.absorb_pending(at);
     }
@@ -237,22 +288,6 @@ impl NetShardWorker {
             any = true;
         }
         any
-    }
-
-    /// Completions observed since the last call, with their exact times.
-    fn drain_completions(&mut self) -> Vec<(FlowId, SimTime)> {
-        self.net
-            .take_completed()
-            .into_iter()
-            .map(|f| {
-                let at = self
-                    .net
-                    .flow(f)
-                    .and_then(|r| r.completed)
-                    .expect("completed flow lacks a completion time");
-                (f, at)
-            })
-            .collect()
     }
 
     /// Earliest completion candidate at or after `not_before` (older entries
@@ -274,19 +309,26 @@ impl NetShardWorker {
     }
 }
 
-impl EpochWorker for NetShardWorker {
+impl<Q: QueueBackend<Event> + Send> EpochWorker for NetShardWorker<Q> {
     type Msg = WireMsg;
 
     fn next_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
+    /// Also stops at the earliest completion candidate noted during the
+    /// window: that instant needs the serial mini-loop. Only an unbounded
+    /// one-shard window meets one; a candidate is noted a full link delay
+    /// before it fires, past the end of any lookahead-bounded window.
     fn run_window(&mut self, end: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= end {
+        loop {
+            let stop = match self.candidates.peek() {
+                Some(&Reverse(c)) => end.min(c),
+                None => end,
+            };
+            let Some((at, ev)) = self.queue.pop_before(stop) else {
                 break;
-            }
-            let (at, ev) = self.queue.pop().expect("peeked event vanished");
+            };
             self.process(at, ev);
         }
     }
@@ -298,15 +340,9 @@ impl EpochWorker for NetShardWorker {
     fn inject(&mut self, msgs: Vec<ShardMsg<WireMsg>>) {
         for m in msgs {
             let WireMsg { dev, src, pkt } = m.payload;
-            if let DevRef::Host(h) = dev {
-                if let Some((s, bytes)) = self.net.flow_src_bytes(pkt.flow) {
-                    if s == h && pkt.ack > bytes {
-                        self.candidates.push(Reverse(m.at));
-                    }
-                }
-            }
             let packet = self.net.pool_insert(pkt);
             let ev = Event::Arrive { dev, packet };
+            self.note_candidate(m.at, &ev);
             // Same key the exchange sorted by, so per-(dest, source) arrival
             // order survives into the Permuted queue unchanged.
             self.queue
@@ -324,7 +360,10 @@ impl EpochWorker for NetShardWorker {
 /// starts watching each candidate here, so a later zero transition anywhere
 /// brings a still-busy flow back. Shards must be quiescent: between windows,
 /// every outbox routed.
-fn retire_quiescent(crew: &mut CrewHandle<NetShardWorker>, cands: &mut Vec<FlowId>) {
+fn retire_quiescent<Q: QueueBackend<Event> + Send>(
+    crew: &mut CrewHandle<NetShardWorker<Q>>,
+    cands: &mut Vec<FlowId>,
+) {
     if cands.is_empty() {
         return;
     }
@@ -359,8 +398,8 @@ fn absorb_hull(net: &mut Network, app_q: &mut EventQueue<u64>, now: SimTime) {
 /// Apply everything the application just did to the hull: absorb new app
 /// timers and install newly added flows on every shard (each shard records
 /// the flow; only endpoint owners build state).
-fn install_hull_products(
-    crew: &mut CrewHandle<NetShardWorker>,
+fn install_hull_products<Q: QueueBackend<Event> + Send>(
+    crew: &mut CrewHandle<NetShardWorker<Q>>,
     app_q: &mut EventQueue<u64>,
     net: &mut Network,
     now: SimTime,
@@ -376,8 +415,8 @@ fn install_hull_products(
 /// The serial same-instant mini-loop: device events shard-by-shard,
 /// completions in flow-id order, then app timers — repeated until the
 /// instant is fully drained. Returns `true` when the application is done.
-fn process_instant<A: Application>(
-    crew: &mut CrewHandle<NetShardWorker>,
+fn process_instant<A: Application, Q: QueueBackend<Event> + Send>(
+    crew: &mut CrewHandle<NetShardWorker<Q>>,
     app_q: &mut EventQueue<u64>,
     retire: &mut Vec<FlowId>,
     net: &mut Network,
@@ -399,7 +438,7 @@ fn process_instant<A: Application>(
         // invariant order (shard-ascending would vary with the partition).
         let mut comps: Vec<(FlowId, SimTime)> = Vec::new();
         crew.for_each_worker(|_, w| {
-            comps.extend(w.drain_completions());
+            comps.extend(w.net.take_completed());
             w.net.take_retire_candidates(retire);
         });
         // Retire before the application hears of the completions, so flows
@@ -434,18 +473,22 @@ fn process_instant<A: Application>(
 
 impl<A: Application> Simulation<A> {
     /// Run on `shards` worker threads (capped at the rack/pod count), with
-    /// results identical to the same engine at any other shard count:
-    /// byte-identical metrics, canonically identical traces.
-    ///
-    /// Note the baseline is `run_sharded(1)` — the windowed engine inline on
-    /// one thread — not [`Simulation::run`]: the classic serial loop orders
-    /// same-instant events FIFO, the sharded engine by the permuted
-    /// `(destination, source)` key. Queue-depth sampling
-    /// ([`Network::enable_queue_trace`]) is serial-only.
+    /// results identical at every shard count: byte-identical metrics,
+    /// canonically identical traces. [`Simulation::run`] is the one-shard
+    /// case, inline on the calling thread.
     pub fn run_sharded(&mut self, shards: usize) -> RunReport {
-        let plan = Arc::new(ShardPlan::new(self.net.topology(), shards));
+        self.run_engine::<EventQueue<Event>>(shards)
+    }
+
+    /// The windowed engine on `shards` shards, each on a `Q` event queue.
+    pub(crate) fn run_engine<Q: QueueBackend<Event> + Send>(&mut self, shards: usize) -> RunReport {
+        let mut plan = ShardPlan::new(self.net.topology(), shards);
+        plan.sampler = self.net.sampled_switch().map(|s| plan.sw_shard[s]);
+        let plan = Arc::new(plan);
         let eff = plan.shards as usize;
-        let lookahead = self.net.min_link_delay();
+        // One shard has nothing to exchange: its windows run from one
+        // special instant to the next instead of one lookahead at a time.
+        let lookahead = (eff > 1).then(|| self.net.min_link_delay());
         let limit = self.time_limit;
         // Events at exactly `limit` run; anything later must not — windows
         // are end-exclusive, so cap them one nanosecond past the limit.
@@ -471,7 +514,7 @@ impl<A: Application> Simulation<A> {
                 }
             })
             .collect();
-        let mut workers: Vec<NetShardWorker> = shard_nets
+        let mut workers: Vec<NetShardWorker<Q>> = shard_nets
             .into_iter()
             .enumerate()
             .map(|(i, mut sn)| {
@@ -509,9 +552,7 @@ impl<A: Application> Simulation<A> {
                     break RunOutcome::TimeLimit;
                 }
                 // The earliest instant that needs the serial mini-loop: a
-                // possible completion or an application timer. Candidates
-                // are always known a full barrier early (the completing ACK
-                // crossed a link), so none can hide inside a window.
+                // possible completion or an application timer.
                 let mut special = app_q.peek_time();
                 crew.for_each_worker(|_, w| {
                     if let Some(c) = w.next_candidate(t_min) {
@@ -522,7 +563,7 @@ impl<A: Application> Simulation<A> {
                 // Every shard is quiescent here: after a barrier or a
                 // special instant, with every outbox routed.
                 retire_quiescent(crew, &mut retire);
-                if special == Some(t_min) || lookahead.as_nanos() == 0 {
+                if special == Some(t_min) || lookahead.is_some_and(|l| l.as_nanos() == 0) {
                     clock = t_min;
                     if process_instant(
                         crew,
@@ -536,9 +577,13 @@ impl<A: Application> Simulation<A> {
                         break RunOutcome::Stopped;
                     }
                 } else {
-                    let mut end = t_min + lookahead;
-                    if let Some(s) = special {
-                        end = end.min(s);
+                    // Candidates noted by now are known a full lookahead
+                    // early (the completing ACK crossed a link), so none can
+                    // hide inside a bounded window; an unbounded one stops
+                    // at any it notes itself (`run_window`).
+                    let mut end = special.unwrap_or(hard_end);
+                    if let Some(l) = lookahead {
+                        end = end.min(t_min + l);
                     }
                     crew.step(end.min(hard_end));
                 }

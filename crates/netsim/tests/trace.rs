@@ -134,3 +134,32 @@ fn attaching_a_trace_never_changes_the_simulation() {
     assert_eq!(sa.retransmits, sb.retransmits);
     assert_eq!(sa.ecn_reductions, sb.ecn_reductions);
 }
+
+/// Queue-depth sampling runs on the shard that owns the sampled switch.
+/// Two racks at two shards put ToR 1 on shard 1, and three of the four
+/// flows into its host-3 port arrive from rack 0 across the shard
+/// boundary: the samples must equal the one-shard run's.
+#[test]
+fn queue_trace_is_shard_count_invariant() {
+    let run = |shards| {
+        let mut net = Network::new(ClusterSpec {
+            racks: 2,
+            hosts_per_rack: 3,
+            ..red_cluster(41)
+        });
+        net.enable_queue_trace(1, 0, SimDuration::from_micros(100), 10_000);
+        let pairs: Vec<_> = [0, 1, 2, 4]
+            .into_iter()
+            .map(|i| (NodeId(i), NodeId(3), 300_000))
+            .collect();
+        let app = StaticFlows::all_at_zero(pairs, TcpConfig::with_ecn(EcnMode::Dctcp));
+        let mut sim = Simulation::new(net, app);
+        sim.time_limit = SimTime::from_secs(60);
+        let report = sim.run_sharded(shards);
+        assert!(report.app_done, "{shards} shards: {report:?}");
+        sim.net.queue_trace().expect("trace enabled").clone()
+    };
+    let one = run(1);
+    assert!(one.samples().len() > 10 && one.peak_packets() > 0);
+    assert_eq!(one.samples(), run(2).samples());
+}

@@ -8,23 +8,20 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time, so every
 //!   run is exactly reproducible (no floating-point drift in the clock).
 //! * [`EventQueue`] — the event queue: a binary heap ordered by
-//!   `(time, tie)`, with *stable* FIFO ordering for events scheduled at the
-//!   same instant, which is required for deterministic packet ordering. Both
-//!   engines run on it: the serial loop through [`Scheduler`], the windowed
-//!   sharded engine per shard.
-//! * [`TimerHandle`] cancellation (lazy deletion), so rearmed timers
-//!   (TCP RTO, delayed ACK) stop ballooning the pending-event set.
+//!   `(time, tie)`, with a deterministic order for events scheduled at the
+//!   same instant, which is required for deterministic packet ordering. The
+//!   simulation engine (`netsim`) runs one per shard.
+//! * [`TimerHandle`] cancellation (lazy deletion), so rearmed timers stop
+//!   ballooning the pending-event set.
 //! * [`QueueBackend`] — the queue operations as a trait, so a wrapper (the
 //!   `simbench` benchmark's call-counting queue) can stand in for
-//!   [`EventQueue`] without touching [`Scheduler`].
-//! * [`Scheduler`] — a run-to-completion driver with event accounting and a
-//!   hard time limit to guard against runaway simulations; generic over the
-//!   queue backend, defaulting to [`EventQueue`].
+//!   [`EventQueue`] in the engine.
 //! * [`SimRng`] — seedable RNG plumbing so stochastic components (e.g. RED's
 //!   drop probability) are reproducible.
-//! * [`TieBreak`] — the same-instant ordering policy: FIFO in production,
-//!   seeded permutation under `simverify`, which re-runs pinned scenarios
-//!   with permuted tie-break order to prove no result depends on it.
+//! * [`TieBreak`] — the same-instant ordering policy: FIFO, or a seeded
+//!   permutation of the events' lanes. The engine runs a fixed permutation;
+//!   `simverify` re-runs pinned scenarios under other seeds to prove no
+//!   result depends on it.
 //!
 //! # Example
 //!
@@ -42,14 +39,12 @@
 mod handle;
 mod queue;
 mod rng;
-mod scheduler;
 mod tiebreak;
 mod time;
 
 pub use handle::TimerHandle;
 pub use queue::{EventQueue, QueueBackend, ScheduledEvent};
 pub use rng::SimRng;
-pub use scheduler::{RunOutcome, Scheduler, SchedulerConfig, SchedulerStats};
 pub use tiebreak::{pack_lane, TieBreak};
 pub use time::{SimDuration, SimTime};
 
@@ -75,7 +70,6 @@ mod thread_safety {
         assert_send::<EventQueue<u64>>();
         assert_send::<TimerHandle>();
         assert_send::<SimRng>();
-        assert_send::<Scheduler<u64>>();
         assert_sync::<SimTime>();
         assert_sync::<SimDuration>();
     }

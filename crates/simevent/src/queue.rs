@@ -54,7 +54,7 @@ impl<E> Ord for ScheduledEvent<E> {
 /// The operations a deterministic event queue must provide. [`EventQueue`]
 /// is the one implementation in the workspace; the trait exists so a
 /// wrapper — the `simbench` benchmark's call-counting queue — can stand in
-/// for it under [`Scheduler`](crate::Scheduler) unchanged.
+/// for it in the simulation engine unchanged.
 ///
 /// The contract, which the op-harness proptests below check against a naive
 /// model: pops are globally ordered by `(time, tie)`, where `tie` is
@@ -90,6 +90,13 @@ pub trait QueueBackend<E> {
     fn cancel(&mut self, handle: TimerHandle) -> bool;
     /// Remove and return the earliest live event, if any.
     fn pop(&mut self) -> Option<(SimTime, E)>;
+    /// Remove and return the earliest live event if it fires before `end`.
+    fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        match self.peek_time() {
+            Some(t) if t < end => self.pop(),
+            _ => None,
+        }
+    }
     /// The firing time of the earliest live pending event.
     fn peek_time(&self) -> Option<SimTime>;
     /// Number of live pending events (cancelled events excluded).
@@ -114,9 +121,8 @@ pub trait QueueBackend<E> {
 /// Events are popped in nondecreasing time order; events scheduled for the
 /// same instant are popped in scheduling order under [`TieBreak::Fifo`], or
 /// in the seeded [`TieBreak::Permuted`] order. Cancelled events stay in the
-/// heap and are skipped when they surface. Both engines run on it: the
-/// serial loop through [`Scheduler`](crate::Scheduler), the windowed engine
-/// once per shard.
+/// heap and are skipped when they surface. The simulation engine runs one
+/// per shard.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
@@ -248,6 +254,21 @@ impl<E> EventQueue<E> {
         None
     }
 
+    /// Remove and return the earliest live event if it fires before `end`.
+    /// Cancelled events surfacing on the way are reaped, so unlike a
+    /// [`peek_time`](Self::peek_time) + [`pop`](Self::pop) pair this never
+    /// scans the heap and checks each event's cancellation once.
+    pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        while self.heap.peek()?.at < end {
+            let se = self.heap.pop()?;
+            if !self.cancels.reap(se.tie) {
+                return Some((se.at, se.event));
+            }
+        }
+        // The head fires at or after `end`, so every live event does too.
+        None
+    }
+
     /// The firing time of the earliest live pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         let head = self.heap.peek()?;
@@ -303,6 +324,9 @@ impl<E> QueueBackend<E> for EventQueue<E> {
     }
     fn pop(&mut self) -> Option<(SimTime, E)> {
         EventQueue::pop(self)
+    }
+    fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        EventQueue::pop_before(self, end)
     }
     fn peek_time(&self) -> Option<SimTime> {
         EventQueue::peek_time(self)
@@ -579,10 +603,10 @@ mod proptests {
 
 #[cfg(test)]
 mod equivalence {
-    //! Random interleavings of schedules, cancellable schedules, pops,
-    //! cancels and compactions on colliding times, checked op by op against
-    //! a naive model: a `Vec` scanned for the minimum `(at, tie key)`, with
-    //! cancelled seqs kept in a set.
+    //! Random interleavings of schedules, cancellable schedules, pops (plain
+    //! and bounded), cancels and compactions on colliding times, checked op
+    //! by op against a naive model: a `Vec` scanned for the minimum
+    //! `(at, tie key)`, with cancelled seqs kept in a set.
 
     use super::*;
     use crate::tiebreak::pack_lane;
@@ -594,6 +618,7 @@ mod equivalence {
         Schedule(u64),
         ScheduleCancellable(u64),
         Pop,
+        PopBefore(u64),
         Cancel(usize),
         Shrink,
     }
@@ -604,6 +629,7 @@ mod equivalence {
             4 => (0u64..40).prop_map(|t| Op::Schedule(t * 1_000)),
             3 => (0u64..40).prop_map(|t| Op::ScheduleCancellable(t * 1_000)),
             4 => Just(Op::Pop),
+            2 => (0u64..41).prop_map(|t| Op::PopBefore(t * 1_000)),
             2 => (0usize..64).prop_map(Op::Cancel),
             1 => Just(Op::Shrink),
         ]
@@ -684,6 +710,14 @@ mod equivalence {
                     payload += 1;
                 }
                 Op::Pop => prop_assert_eq!(q.pop(), model.pop(), "pop diverged"),
+                Op::PopBefore(t) => {
+                    let end = SimTime::from_nanos(t);
+                    let want = match model.peek_time() {
+                        Some(at) if at < end => model.pop(),
+                        _ => None,
+                    };
+                    prop_assert_eq!(q.pop_before(end), want, "pop_before diverged");
+                }
                 Op::Cancel(k) => {
                     if handles.is_empty() {
                         continue;

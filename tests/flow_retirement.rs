@@ -3,8 +3,9 @@
 //!
 //! A closed-loop RPC point issues many short flows one after another, so a
 //! host sees far more flows over the run than at any one time. Its endpoint
-//! table must track the concurrent flows, not the total, on both engines,
-//! while every byte still arrives and no packet reaches a freed endpoint.
+//! table must track the concurrent flows, not the total, at every shard
+//! count, while every byte still arrives and no packet reaches a freed
+//! endpoint.
 
 use experiments::scenario::{BufferDepth, QueueKind, ScenarioConfig};
 use hadoop_ecn::prelude::*;
@@ -52,7 +53,7 @@ fn red_mimic() -> QdiscSpec {
 
 /// The most flows in progress at one instant, a flow counting from its
 /// start to its completion. A completion and a start at the same instant do
-/// not overlap: both engines retire a quiescent finished flow before the
+/// not overlap: the engine retires a quiescent finished flow before the
 /// application hears of it and starts the next.
 fn peak_concurrent<'a>(flows: impl Iterator<Item = &'a FlowRecord>) -> usize {
     let mut edges: Vec<(SimTime, i32)> = Vec::new();
@@ -69,29 +70,29 @@ fn peak_concurrent<'a>(flows: impl Iterator<Item = &'a FlowRecord>) -> usize {
     peak as usize
 }
 
-fn check_retirement(sim: &Simulation<WorkloadApp<Rpc>>, report: &RunReport, engine: &str) {
+fn check_retirement(sim: &Simulation<WorkloadApp<Rpc>>, report: &RunReport, run: &str) {
     let net = &sim.net;
     let flows = net.flows().count();
     let rpcs = (CLIENTS * REQUESTS_PER_CLIENT * FANOUT) as usize;
-    assert!(report.app_done, "{engine}: run did not finish: {report:?}");
+    assert!(report.app_done, "{run}: run did not finish: {report:?}");
     assert_eq!(
         flows,
         2 * rpcs,
-        "{engine}: one request and one response per RPC"
+        "{run}: one request and one response per RPC"
     );
     assert_eq!(
         net.total_bytes_received(),
         rpcs as u64 * (REQUEST_BYTES + RESPONSE_BYTES),
-        "{engine}: bytes lost"
+        "{run}: bytes lost"
     );
     assert_eq!(
         net.orphan_packets(),
         0,
-        "{engine}: a packet reached a freed endpoint"
+        "{run}: a packet reached a freed endpoint"
     );
     assert_eq!(
         report.flows_retired, flows as u64,
-        "{engine}: a flow kept its endpoints"
+        "{run}: a flow kept its endpoints"
     );
     // A flow that completes with retransmissions still in flight keeps its
     // endpoints until the last one is gone, so a host can briefly hold one
@@ -103,19 +104,19 @@ fn check_retirement(sim: &Simulation<WorkloadApp<Rpc>>, report: &RunReport, engi
         let used = net.host_endpoint_slots(host);
         assert!(
             used <= peak,
-            "{engine}: host {h} allocated {used} endpoint slots for at most {peak} concurrent flows"
+            "{run}: host {h} allocated {used} endpoint slots for at most {peak} concurrent flows"
         );
         slots += used as u64;
     }
     assert_eq!(report.endpoint_slots, slots);
     assert!(
         slots * 10 < 2 * flows as u64,
-        "{engine}: {slots} endpoint slots for {flows} flows"
+        "{run}: {slots} endpoint slots for {flows} flows"
     );
 }
 
 #[test]
-fn sequential_rpc_flows_reuse_endpoint_slots_on_the_classic_loop() {
+fn sequential_rpc_flows_reuse_endpoint_slots_on_one_rack() {
     let mut sim = rpc_sim(Topology::TwoTier(ClusterSpec::single_rack(
         16,
         LinkSpec::gbps(1, 5),
@@ -123,19 +124,50 @@ fn sequential_rpc_flows_reuse_endpoint_slots_on_the_classic_loop() {
         3,
     )));
     let report = sim.run();
-    check_retirement(&sim, &report, "classic");
+    check_retirement(&sim, &report, "one rack");
 }
 
-#[test]
-fn sequential_rpc_flows_reuse_endpoint_slots_on_two_shards() {
-    let mut sim = rpc_sim(Topology::FatTree(FatTreeSpec {
+fn fat_tree_4() -> Topology {
+    Topology::FatTree(FatTreeSpec {
         k: 4,
         host_link: LinkSpec::gbps(1, 5),
         uplink: LinkSpec::gbps(10, 5),
         switch_qdisc: red_mimic(),
         host_buffer_packets: 1000,
         seed: 3,
-    }));
+    })
+}
+
+#[test]
+fn sequential_rpc_flows_reuse_endpoint_slots_on_two_shards() {
+    let mut sim = rpc_sim(fat_tree_4());
     let report = sim.run_sharded(2);
     check_retirement(&sim, &report, "fat-tree:4 at 2 shards");
+}
+
+/// One shard runs each window up to the next completion or application
+/// timer; two shards stop every link delay to exchange packets. This point
+/// has both kinds of special instant, and the two schedules must compute
+/// the same simulation.
+#[test]
+fn one_shard_windows_match_lookahead_windows() {
+    let run = |shards| {
+        let mut sim = rpc_sim(fat_tree_4());
+        let report = sim.run_sharded(shards);
+        assert!(report.app_done, "{shards} shards: {report:?}");
+        let net = sim.net;
+        let completions: Vec<Option<SimTime>> = net.flows().map(|f| f.completed).collect();
+        (
+            completions,
+            net.sender_stats_total(),
+            net.receiver_stats_total(),
+            net.total_bytes_received(),
+        )
+    };
+    let one = run(1);
+    assert!(
+        one.1.timeouts + one.1.syn_retransmits > 0,
+        "no loss recovery"
+    );
+    assert_eq!(one, run(2));
 }

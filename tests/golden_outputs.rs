@@ -35,10 +35,10 @@ fn point(topology: TopologyKind, shards: Option<u32>) -> RunMetrics {
     )
 }
 
-const CLASSIC: &str =
+const TWO_TIER: &str =
     "RunMetrics { runtime_s: 1.073709602, throughput_per_node_bps: 23677482.82659592, \
-    mean_latency_s: 0.000451716, p99_latency_s: 0.002097151, acks_early_dropped: 0, \
-    handshake_early_dropped: 0, data_marked: 575, full_drops: 44, timeouts: 1, \
+    mean_latency_s: 0.000451794, p99_latency_s: 0.002097151, acks_early_dropped: 0, \
+    handshake_early_dropped: 0, data_marked: 567, full_drops: 44, timeouts: 1, \
     fast_retransmits: 4, syn_retransmits: 0, cc_fallbacks: 0, completed: true }";
 
 const FAT_TREE_4: &str =
@@ -47,9 +47,13 @@ const FAT_TREE_4: &str =
     handshake_early_dropped: 0, data_marked: 3164, full_drops: 615, timeouts: 9, \
     fast_retransmits: 35, syn_retransmits: 1, cc_fallbacks: 0, completed: true }";
 
+/// `shards: None` runs the engine at one shard.
 #[test]
-fn classic_loop_output_is_pinned() {
-    assert_eq!(format!("{:?}", point(TopologyKind::TwoTier, None)), CLASSIC);
+fn two_tier_output_is_pinned() {
+    for shards in [None, Some(1)] {
+        let got = format!("{:?}", point(TopologyKind::TwoTier, shards));
+        assert_eq!(got, TWO_TIER, "shards {shards:?}");
+    }
 }
 
 /// Also the shard-count identity check: one and two shards must both give
@@ -90,7 +94,7 @@ fn every_discipline_output_is_pinned() {
             QueueKind::DropTail,
             None,
             "RunMetrics { runtime_s: 0.284496498, throughput_per_node_bps: 106947984.06993735, \
-            mean_latency_s: 0.000410794, p99_latency_s: 0.002097151, acks_early_dropped: 0, \
+            mean_latency_s: 0.000410791, p99_latency_s: 0.002097151, acks_early_dropped: 0, \
             handshake_early_dropped: 0, data_marked: 0, full_drops: 614, timeouts: 3, \
             fast_retransmits: 25, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
         ),
@@ -98,47 +102,47 @@ fn every_discipline_output_is_pinned() {
             QueueKind::Red(d),
             None,
             "RunMetrics { runtime_s: 1.087694695, throughput_per_node_bps: 23355246.789375145, \
-            mean_latency_s: 0.000486008, p99_latency_s: 0.001981312, acks_early_dropped: 10, \
-            handshake_early_dropped: 4, data_marked: 853, full_drops: 0, timeouts: 2, \
+            mean_latency_s: 0.000487136, p99_latency_s: 0.001972704, acks_early_dropped: 9, \
+            handshake_early_dropped: 4, data_marked: 803, full_drops: 0, timeouts: 2, \
             fast_retransmits: 0, syn_retransmits: 4, cc_fallbacks: 0, completed: true }",
         ),
         (
             QueueKind::RedMimic(d),
             None,
-            "RunMetrics { runtime_s: 1.079762373, throughput_per_node_bps: 23536933.614878997, \
-            mean_latency_s: 0.00033903, p99_latency_s: 0.002097151, acks_early_dropped: 49, \
-            handshake_early_dropped: 0, data_marked: 1847, full_drops: 0, timeouts: 6, \
+            "RunMetrics { runtime_s: 1.079784773, throughput_per_node_bps: 23536416.571476247, \
+            mean_latency_s: 0.000340105, p99_latency_s: 0.002097151, acks_early_dropped: 49, \
+            handshake_early_dropped: 0, data_marked: 1821, full_drops: 0, timeouts: 6, \
             fast_retransmits: 0, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
         ),
         (
             QueueKind::SimpleMarking,
             None,
-            "RunMetrics { runtime_s: 0.094117874, throughput_per_node_bps: 705269743.1962996, \
-            mean_latency_s: 0.000190746, p99_latency_s: 0.001048575, acks_early_dropped: 0, \
-            handshake_early_dropped: 0, data_marked: 2698, full_drops: 0, timeouts: 0, \
+            "RunMetrics { runtime_s: 0.094339157, throughput_per_node_bps: 700713232.6423988, \
+            mean_latency_s: 0.000184447, p99_latency_s: 0.001048575, acks_early_dropped: 0, \
+            handshake_early_dropped: 0, data_marked: 2851, full_drops: 0, timeouts: 0, \
             fast_retransmits: 0, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
         ),
         (
             QueueKind::CoDel(d),
             None,
             "RunMetrics { runtime_s: 1.073731618, throughput_per_node_bps: 23676968.559423495, \
-            mean_latency_s: 0.000408228, p99_latency_s: 0.002097151, acks_early_dropped: 17, \
-            handshake_early_dropped: 0, data_marked: 49, full_drops: 281, timeouts: 3, \
-            fast_retransmits: 14, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
+            mean_latency_s: 0.000407382, p99_latency_s: 0.002097151, acks_early_dropped: 18, \
+            handshake_early_dropped: 0, data_marked: 47, full_drops: 278, timeouts: 2, \
+            fast_retransmits: 13, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
         ),
         (
             QueueKind::CurvyRed(d),
             None,
             "RunMetrics { runtime_s: 1.086900632, throughput_per_node_bps: 23373308.06259311, \
-            mean_latency_s: 0.00042804, p99_latency_s: 0.001909056, acks_early_dropped: 50, \
-            handshake_early_dropped: 5, data_marked: 577, full_drops: 0, timeouts: 1, \
+            mean_latency_s: 0.000454927, p99_latency_s: 0.001858899, acks_early_dropped: 46, \
+            handshake_early_dropped: 5, data_marked: 560, full_drops: 0, timeouts: 1, \
             fast_retransmits: 0, syn_retransmits: 5, cc_fallbacks: 0, completed: true }",
         ),
         (
             QueueKind::Pie(d),
             None,
             "RunMetrics { runtime_s: 0.289950674, throughput_per_node_bps: 104410321.11163685, \
-            mean_latency_s: 0.000467652, p99_latency_s: 0.00260288, acks_early_dropped: 5, \
+            mean_latency_s: 0.000467645, p99_latency_s: 0.00260288, acks_early_dropped: 5, \
             handshake_early_dropped: 0, data_marked: 14, full_drops: 588, timeouts: 4, \
             fast_retransmits: 37, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
         ),
@@ -155,9 +159,9 @@ fn every_discipline_output_is_pinned() {
         (
             QueueKind::DualQ(d),
             Some(CcAlg::Prague),
-            "RunMetrics { runtime_s: 0.111631429, throughput_per_node_bps: 465629843.5204348, \
-            mean_latency_s: 8.1235e-5, p99_latency_s: 0.001048575, acks_early_dropped: 1, \
-            handshake_early_dropped: 0, data_marked: 583, full_drops: 0, timeouts: 0, \
+            "RunMetrics { runtime_s: 0.292745029, throughput_per_node_bps: 103156286.65701628, \
+            mean_latency_s: 8.1138e-5, p99_latency_s: 0.001048575, acks_early_dropped: 6, \
+            handshake_early_dropped: 0, data_marked: 639, full_drops: 0, timeouts: 1, \
             fast_retransmits: 0, syn_retransmits: 0, cc_fallbacks: 0, completed: true }",
         ),
     ];
@@ -243,7 +247,7 @@ fn sack_output_is_pinned() {
 }
 
 const SACK_ON: &str =
-    "RunMetrics { runtime_s: 0.480118645, throughput_per_node_bps: 57138734.44712217, \
-    mean_latency_s: 0.000274062, p99_latency_s: 0.001979072, acks_early_dropped: 100, \
-    handshake_early_dropped: 0, data_marked: 0, full_drops: 0, timeouts: 10, \
-    fast_retransmits: 37, syn_retransmits: 0, cc_fallbacks: 0, completed: true }";
+    "RunMetrics { runtime_s: 0.476057205, throughput_per_node_bps: 57696626.062858395, \
+    mean_latency_s: 0.000279996, p99_latency_s: 0.001979072, acks_early_dropped: 102, \
+    handshake_early_dropped: 0, data_marked: 0, full_drops: 0, timeouts: 9, \
+    fast_retransmits: 39, syn_retransmits: 0, cc_fallbacks: 0, completed: true }";
