@@ -37,10 +37,12 @@ pub struct Red {
     count: i64,
     /// When the queue last went idle, for the EWMA idle decay.
     idle_since: Option<SimTime>,
-    /// Assumed transmission time of a mean-size packet, used only to scale the
-    /// idle decay of the EWMA (classic RED's `s` parameter).
-    idle_packet_time: SimDuration,
 }
+
+/// Assumed transmission time of a mean-size packet (≈ 1500 B at 1 Gb/s),
+/// used only to scale the idle decay of the EWMA (classic RED's `s`
+/// parameter).
+const IDLE_PACKET_TIME: SimDuration = SimDuration::from_micros(12);
 
 impl Red {
     /// Build a RED queue. `seed` feeds the probabilistic early decision; two
@@ -56,15 +58,7 @@ impl Red {
             avg: 0.0,
             count: -1,
             idle_since: Some(SimTime::ZERO),
-            idle_packet_time: SimDuration::from_micros(12),
         }
-    }
-
-    /// Override the idle-decay packet time (defaults to 12 µs ≈ 1500 B at
-    /// 1 Gbps). Only affects EWMA configurations (`ewma_weight < 1`).
-    pub fn set_idle_packet_time(&mut self, t: SimDuration) {
-        assert!(t > SimDuration::ZERO);
-        self.idle_packet_time = t;
     }
 
     /// The configuration this queue was built with.
@@ -126,7 +120,7 @@ impl Red {
         if let Some(idle_since) = self.idle_since.take() {
             // Queue was idle: decay the average as if `m` empty samples passed.
             let idle = now.since(idle_since);
-            let m = idle.as_nanos() as f64 / self.idle_packet_time.as_nanos().max(1) as f64;
+            let m = idle.as_nanos() as f64 / IDLE_PACKET_TIME.as_nanos() as f64;
             self.avg *= (1.0 - w).powf(m);
         }
         self.avg = (1.0 - w) * self.avg + w * q;

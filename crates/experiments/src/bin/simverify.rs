@@ -9,6 +9,7 @@
 //! simverify [--permutations N] [--seed N] [--out DIR] [--no-trace]
 //! ```
 
+use experiments::cli::split_flag_values;
 use experiments::verify::{pinned_grid, verify_grid, VerifyOptions};
 use std::path::PathBuf;
 
@@ -19,7 +20,7 @@ fn die(msg: &str) -> ! {
 
 fn parse_args() -> VerifyOptions {
     let mut opts = VerifyOptions::default();
-    let mut it = std::env::args().skip(1);
+    let mut it = split_flag_values(std::env::args().skip(1));
     while let Some(a) = it.next() {
         match a.as_str() {
             "--permutations" => match it.next().map(|v| v.parse::<u32>()) {
@@ -35,26 +36,10 @@ fn parse_args() -> VerifyOptions {
                 None => die("--out needs a directory path"),
             },
             "--no-trace" => opts.trace = false,
-            other => {
-                if let Some(v) = other.strip_prefix("--permutations=") {
-                    match v.parse::<u32>() {
-                        Ok(n) if n >= 2 => opts.permutations = n,
-                        _ => die("--permutations needs an integer >= 2"),
-                    }
-                } else if let Some(v) = other.strip_prefix("--seed=") {
-                    match v.parse::<u64>() {
-                        Ok(s) => opts.base_seed = s,
-                        Err(_) => die("--seed needs an unsigned integer value"),
-                    }
-                } else if let Some(v) = other.strip_prefix("--out=") {
-                    opts.out_dir = PathBuf::from(v);
-                } else {
-                    die(&format!(
-                        "unknown argument {other}; supported: --permutations N \
-                         --seed N --out DIR --no-trace"
-                    ))
-                }
-            }
+            other => die(&format!(
+                "unknown argument {other}; supported: --permutations N \
+                 --seed N --out DIR --no-trace"
+            )),
         }
     }
     opts

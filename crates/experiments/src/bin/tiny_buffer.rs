@@ -11,6 +11,7 @@
 //!
 //! Usage: `tiny_buffer [--seed N] [--out PATH]`
 
+use experiments::cli::split_flag_values;
 use experiments::report::write_json;
 use experiments::tiny_buffer::{
     check_tiny_buffer_claims, render_tiny_buffer, run_tiny_buffer, tiny_buffer_claims,
@@ -22,7 +23,7 @@ fn main() {
     // the bin twice into two files and byte-diffs them.
     let mut out = PathBuf::from("results/tiny_buffer.json");
     let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
+    let mut it = split_flag_values(std::env::args().skip(1));
     while let Some(a) = it.next() {
         if a == "--out" {
             match it.next() {
@@ -32,8 +33,6 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        } else if let Some(p) = a.strip_prefix("--out=") {
-            out = PathBuf::from(p);
         } else {
             rest.push(a);
         }

@@ -49,7 +49,7 @@ impl CliArgs {
     /// unknown flag or a malformed `--seed`.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> CliArgs {
         let mut out = CliArgs::default();
-        let mut it = args.into_iter();
+        let mut it = split_flag_values(args);
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--tiny" => out.tiny = true,
@@ -83,39 +83,12 @@ impl CliArgs {
                     Some(v) => out.topology = Some(parse_topology_or_die(&v)),
                     None => die("--topology needs two-tier or fat-tree:K"),
                 },
-                other => {
-                    if let Some(v) = other.strip_prefix("--seed=") {
-                        match v.parse::<u64>() {
-                            Ok(s) => out.seed = Some(s),
-                            Err(_) => die("--seed needs an unsigned integer value"),
-                        }
-                    } else if let Some(v) = other.strip_prefix("--jobs=") {
-                        match v.parse::<usize>() {
-                            Ok(n) if n >= 1 => out.jobs = Some(n),
-                            _ => die("--jobs needs an integer >= 1"),
-                        }
-                    } else if let Some(v) = other.strip_prefix("--trace=") {
-                        out.trace = Some(PathBuf::from(v));
-                    } else if let Some(v) = other.strip_prefix("--trace-filter=") {
-                        out.trace_filter = parse_filter_or_die(v);
-                    } else if let Some(v) = other.strip_prefix("--cc=") {
-                        out.cc = Some(parse_cc_or_die(v));
-                    } else if let Some(v) = other.strip_prefix("--shards=") {
-                        match v.parse::<u32>() {
-                            Ok(n) if n >= 1 => out.shards = Some(n),
-                            _ => die("--shards needs an integer >= 1"),
-                        }
-                    } else if let Some(v) = other.strip_prefix("--topology=") {
-                        out.topology = Some(parse_topology_or_die(v));
-                    } else {
-                        die(&format!(
-                            "unknown argument {other}; supported: --tiny --fresh --seed N \
-                             --jobs N --no-cache --cc ALG --shards N \
-                             --topology two-tier|fat-tree:K --trace PATH \
-                             --trace-filter flow=N|kind=NAME"
-                        ))
-                    }
-                }
+                other => die(&format!(
+                    "unknown argument {other}; supported: --tiny --fresh --seed N \
+                     --jobs N --no-cache --cc ALG --shards N \
+                     --topology two-tier|fat-tree:K --trace PATH \
+                     --trace-filter flow=N|kind=NAME"
+                )),
             }
         }
         out
@@ -159,6 +132,17 @@ impl CliArgs {
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+/// Spell every `--flag=value` argument as `--flag value` (split at the first
+/// `=`), so a parser matches each flag once, in its spaced form.
+pub fn split_flag_values<I: IntoIterator<Item = String>>(args: I) -> impl Iterator<Item = String> {
+    args.into_iter().flat_map(
+        |a| match a.strip_prefix("--").and_then(|f| f.split_once('=')) {
+            Some((flag, value)) => vec![format!("--{flag}"), value.to_string()],
+            None => vec![a],
+        },
+    )
 }
 
 /// Parse `--trace-filter` syntax: `flow=N` restricts the trace to one flow
@@ -372,6 +356,13 @@ mod tests {
         assert_eq!(a.seed, Some(99));
         assert_eq!(parse(&["--seed=123"]).seed, Some(123));
         assert_eq!(parse(&[]).seed, None);
+    }
+
+    #[test]
+    fn flag_values_split_at_the_first_equals_only() {
+        let args = ["--out=a=b", "x=y", "--tiny", "--seed="].map(String::from);
+        let split: Vec<String> = split_flag_values(args).collect();
+        assert_eq!(split, ["--out", "a=b", "x=y", "--tiny", "--seed", ""]);
     }
 
     #[test]

@@ -117,19 +117,6 @@ impl SweepResults {
     }
 }
 
-/// The paper's normalisation baseline for one depth: DropTail with plain
-/// TCP. The 500 µs target delay is inert for DropTail (nothing marks), but
-/// keeps the plumbing identical to the swept points.
-pub fn run_baseline(cfg: &ScenarioConfig, depth: BufferDepth) -> RunMetrics {
-    run_scenario(
-        cfg,
-        Transport::Tcp,
-        QueueKind::DropTail,
-        depth,
-        SimDuration::from_micros(500),
-    )
-}
-
 /// The content-addressed cache key of one scenario point: everything that
 /// determines its [`RunMetrics`]. The [`ScenarioConfig`] carries the seed
 /// (and seed count), so a `--seed` override changes every key. The crate

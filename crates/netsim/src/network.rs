@@ -72,10 +72,15 @@ pub enum Event {
         /// Port index on that device (hosts have a single NIC, port 0).
         port: u32,
     },
-    /// Check TCP timers on one host.
+    /// Check TCP timers on one host. A host has at most one live
+    /// `HostTimers` event: re-arming it to an earlier deadline supersedes
+    /// the pending one, which stays queued and is dropped unhandled when it
+    /// surfaces ([`Network::host_timer_is_live`]).
     HostTimers {
         /// Host index.
         host: u32,
+        /// The host's timer generation when the event was armed.
+        gen: u32,
     },
     /// Wakes the [`crate::Application`] (handled by the sim loop, not here).
     AppTimer {
@@ -179,7 +184,11 @@ struct Host {
     /// heap — so the valid head is exactly the minimum over all endpoints,
     /// without the O(endpoints) scan the original re-arm code did.
     deadlines: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Deadline of the live [`Event::HostTimers`], if one is pending.
     timer_scheduled: Option<SimTime>,
+    /// Generation of the live [`Event::HostTimers`]: bumped whenever a
+    /// re-arm supersedes the pending event, so only the newest one matches.
+    timer_gen: u32,
 }
 
 impl Host {
@@ -191,6 +200,7 @@ impl Host {
             free_slots: Vec::new(),
             deadlines: BinaryHeap::new(),
             timer_scheduled: None,
+            timer_gen: 0,
         }
     }
 
@@ -503,8 +513,6 @@ pub struct Network {
     /// Counters of the endpoints retired on this network.
     retired: RetiredTotals,
     latency_all: LatencyHistogram,
-    latency_data: LatencyHistogram,
-    latency_ack: LatencyHistogram,
     throughput: ThroughputMeter,
     trace: Option<TraceState>,
     /// Per-packet lifecycle trace handle (disabled tier by default); fanned
@@ -516,6 +524,9 @@ pub struct Network {
     switch_qids: Vec<Vec<u32>>,
     /// Packets that arrived for an unknown flow (should stay zero).
     orphan_packets: u64,
+    /// [`Event::HostTimers`] events superseded by an earlier re-arm; each
+    /// stays queued until it surfaces and is dropped.
+    timers_superseded: u64,
 }
 
 #[derive(Debug)]
@@ -832,14 +843,13 @@ impl Network {
             retire_check: Vec::new(),
             retired: RetiredTotals::default(),
             latency_all: LatencyHistogram::new(),
-            latency_data: LatencyHistogram::new(),
-            latency_ack: LatencyHistogram::new(),
             throughput: ThroughputMeter::new(),
             trace: None,
             pkt_trace: TraceHandle::null(),
             host_qids: Vec::new(),
             switch_qids: Vec::new(),
             orphan_packets: 0,
+            timers_superseded: 0,
         }
     }
 
@@ -1019,7 +1029,7 @@ impl Network {
                 DevRef::Host(h) => self.arrive_at_host(h, packet, now),
             },
             Event::PortFree { dev, port } => self.port_free(dev, port, now),
-            Event::HostTimers { host } => self.host_timers(host, now),
+            Event::HostTimers { host, .. } => self.host_timers(host, now),
             Event::Sample => self.sample(now),
             Event::AppTimer { .. } => {
                 unreachable!("AppTimer must be handled by the simulation loop")
@@ -1059,13 +1069,7 @@ impl Network {
         // the wire, and the endpoint only borrows it (`on_segment(&packet)`).
         let packet = self.pool.take(r);
         // End-to-end latency accounting for every delivered packet.
-        let lat = now.since(packet.sent_at);
-        self.latency_all.record(lat);
-        match PacketKind::of(&packet) {
-            PacketKind::Data => self.latency_data.record(lat),
-            PacketKind::PureAck => self.latency_ack.record(lat),
-            _ => {}
-        }
+        self.latency_all.record(now.since(packet.sent_at));
 
         // O(1) endpoint lookup: flow id -> slab slot -> endpoint index.
         let idx = flow_index(packet.flow)
@@ -1227,6 +1231,7 @@ impl Network {
             retire_check,
             flush_buf,
             pool,
+            timers_superseded,
             ..
         } = self;
         let host = &mut hosts[hi];
@@ -1280,8 +1285,19 @@ impl Network {
         if let Some(d) = next {
             let d = d.max(now);
             if host.timer_scheduled.is_none_or(|t| d < t) {
+                if host.timer_scheduled.is_some() {
+                    // The pending event stays queued; the new generation
+                    // marks it stale.
+                    host.timer_gen = host.timer_gen.wrapping_add(1);
+                    *timers_superseded += 1;
+                }
                 host.timer_scheduled = Some(d);
-                pending.push((d, dev_lane(DevRef::Host(h)), Event::HostTimers { host: h }));
+                let gen = host.timer_gen;
+                pending.push((
+                    d,
+                    dev_lane(DevRef::Host(h)),
+                    Event::HostTimers { host: h, gen },
+                ));
             }
         }
     }
@@ -1371,8 +1387,7 @@ impl Network {
 
         for mut sh in shards {
             self.latency_all.merge(&sh.latency_all);
-            self.latency_data.merge(&sh.latency_data);
-            self.latency_ack.merge(&sh.latency_ack);
+            self.timers_superseded += sh.timers_superseded;
             self.throughput.merge(&sh.throughput);
             self.orphan_packets += sh.orphan_packets;
             self.shard_pools.merge(&sh.pool.stats());
@@ -1676,6 +1691,17 @@ impl Network {
         }
     }
 
+    /// Whether a [`Event::HostTimers`] armed at generation `gen` is still
+    /// the host's live timer event; a superseded one must not be handled.
+    pub(crate) fn host_timer_is_live(&self, host: u32, gen: u32) -> bool {
+        self.hosts[self.hidx(host)].timer_gen == gen
+    }
+
+    /// [`Event::HostTimers`] events superseded on this network so far.
+    pub(crate) fn timers_superseded(&self) -> u64 {
+        self.timers_superseded
+    }
+
     /// Take the flows whose sender completed since the last call, with
     /// their completion times.
     pub fn take_completed(&mut self) -> Vec<(FlowId, SimTime)> {
@@ -1687,16 +1713,6 @@ impl Network {
     /// Per-packet end-to-end latency over all delivered packets (Fig. 4).
     pub fn latency(&self) -> &LatencyHistogram {
         &self.latency_all
-    }
-
-    /// Latency of data segments only.
-    pub fn latency_data(&self) -> &LatencyHistogram {
-        &self.latency_data
-    }
-
-    /// Latency of pure ACKs only.
-    pub fn latency_acks(&self) -> &LatencyHistogram {
-        &self.latency_ack
     }
 
     /// Goodput accounting (Fig. 3).

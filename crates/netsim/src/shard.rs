@@ -41,7 +41,7 @@ use crate::network::{dev_lane, DeferredFlow, DevRef, Event, Network, APP_LANE, S
 use crate::sim::{Application, RunOutcome, RunReport, Simulation};
 use crate::topology::Topology;
 use netpacket::{FlowId, Packet};
-use simevent::{pack_lane, EventQueue, QueueBackend, SimTime, TieBreak, TimerHandle};
+use simevent::{pack_lane, EventQueue, QueueBackend, SimTime, TieBreak};
 use simshard::{run_crew, CrewHandle, EpochWorker, ShardMsg};
 use simtrace::{TraceHandle, VecSink};
 use std::cmp::Reverse;
@@ -62,7 +62,7 @@ const SHARD_TIE_SEED: u64 = 0x51AD_2017_0905_CDE5;
 fn event_dest_lane(ev: &Event) -> u16 {
     match ev {
         Event::Arrive { dev, .. } | Event::PortFree { dev, .. } => dev_lane(*dev),
-        Event::HostTimers { host } => dev_lane(DevRef::Host(*host)),
+        Event::HostTimers { host, .. } => dev_lane(DevRef::Host(*host)),
         Event::AppTimer { .. } => APP_LANE,
         Event::Sample => SAMPLE_LANE,
     }
@@ -159,7 +159,7 @@ impl ShardPlan {
     fn shard_of_event(&self, ev: &Event) -> u32 {
         match ev {
             Event::Arrive { dev, .. } | Event::PortFree { dev, .. } => self.shard_of_dev(*dev),
-            Event::HostTimers { host } => self.host_shard[*host as usize],
+            Event::HostTimers { host, .. } => self.host_shard[*host as usize],
             Event::Sample => self.sampler.expect("a queue sample with no sampled switch"),
             Event::AppTimer { .. } => {
                 unreachable!("application timers never enter shard queues")
@@ -185,10 +185,9 @@ pub(crate) struct NetShardWorker<Q> {
     inbox_buf: Vec<(SimTime, u16, Event)>,
     /// Times at which a flow *might* complete on this shard (min-heap).
     candidates: BinaryHeap<Reverse<SimTime>>,
-    /// The pending [`Event::HostTimers`] of each host, by global host id:
-    /// one per host, so re-arming a host to an earlier deadline cancels the
-    /// superseded event instead of leaving it to fire and re-arm again.
-    timers: Vec<Option<TimerHandle>>,
+    /// Superseded [`Event::HostTimers`] popped and dropped so far; the rest
+    /// of [`Network::timers_superseded`] are still queued.
+    superseded_dropped: u64,
     events: u64,
     last_event: SimTime,
     peak_pending: usize,
@@ -198,13 +197,13 @@ impl<Q: QueueBackend<Event>> NetShardWorker<Q> {
     fn new(shard: u32, net: Network, plan: Arc<ShardPlan>, tie: TieBreak) -> Self {
         let mut w = NetShardWorker {
             shard,
-            timers: vec![None; net.num_hosts()],
             net,
             plan,
             queue: Q::with_tie_break(tie),
             outbox: Vec::new(),
             inbox_buf: Vec::new(),
             candidates: BinaryHeap::new(),
+            superseded_dropped: 0,
             events: 0,
             last_event: SimTime::ZERO,
             peak_pending: 0,
@@ -251,30 +250,37 @@ impl<Q: QueueBackend<Event>> NetShardWorker<Q> {
                 });
                 continue;
             }
-            let lane = event_tie_lane(src, &ev);
-            if let Event::HostTimers { host } = ev {
-                let pending = &mut self.timers[host as usize];
-                if let Some(h) = pending.take() {
-                    self.queue.cancel(h);
-                }
-                *pending = Some(self.queue.schedule_cancellable_in_lane(t, lane, ev));
-            } else {
-                self.note_candidate(t, &ev);
-                self.queue.schedule_in_lane(t, lane, ev);
-            }
+            self.note_candidate(t, &ev);
+            self.queue.schedule_in_lane(t, event_tie_lane(src, &ev), ev);
         }
         self.inbox_buf = buf;
-        self.peak_pending = self.peak_pending.max(self.queue.len());
+        self.note_peak();
     }
 
-    fn process(&mut self, at: SimTime, ev: Event) {
+    /// Queued events that will be handled: superseded host timers excluded.
+    fn live_pending(&self) -> usize {
+        let stale = self.net.timers_superseded() - self.superseded_dropped;
+        self.queue.len() - stale as usize
+    }
+
+    fn note_peak(&mut self) {
+        self.peak_pending = self.peak_pending.max(self.live_pending());
+    }
+
+    /// Handle one popped event, or drop it uncounted if it is a superseded
+    /// host timer. Returns whether it was handled.
+    fn process(&mut self, at: SimTime, ev: Event) -> bool {
+        if let Event::HostTimers { host, gen } = ev {
+            if !self.net.host_timer_is_live(host, gen) {
+                self.superseded_dropped += 1;
+                return false;
+            }
+        }
         self.events += 1;
         self.last_event = at;
-        if let Event::HostTimers { host } = ev {
-            self.timers[host as usize] = None;
-        }
         self.net.handle(ev, at);
         self.absorb_pending(at);
+        true
     }
 
     /// Serial phase: process every local event at exactly `c`. New events
@@ -284,8 +290,7 @@ impl<Q: QueueBackend<Event>> NetShardWorker<Q> {
         let mut any = false;
         while self.queue.peek_time() == Some(c) {
             let (at, ev) = self.queue.pop().expect("peeked event vanished");
-            self.process(at, ev);
-            any = true;
+            any |= self.process(at, ev);
         }
         any
     }
@@ -312,7 +317,13 @@ impl<Q: QueueBackend<Event>> NetShardWorker<Q> {
 impl<Q: QueueBackend<Event> + Send> EpochWorker for NetShardWorker<Q> {
     type Msg = WireMsg;
 
+    /// The head's time, which may be a superseded timer's: windows may end
+    /// early, which changes nothing. `None` once only superseded timers
+    /// remain, so they never hold a run open.
     fn next_time(&self) -> Option<SimTime> {
+        if self.live_pending() == 0 {
+            return None;
+        }
         self.queue.peek_time()
     }
 
@@ -348,7 +359,7 @@ impl<Q: QueueBackend<Event> + Send> EpochWorker for NetShardWorker<Q> {
             self.queue
                 .schedule_in_lane(m.at, event_tie_lane(src, &ev), ev);
         }
-        self.peak_pending = self.peak_pending.max(self.queue.len());
+        self.note_peak();
     }
 }
 
@@ -635,7 +646,7 @@ mod tests {
     use crate::topology::{ClusterSpec, FatTreeSpec};
     use ecn_core::{ProtectionMode, QdiscSpec, RedConfig};
     use netpacket::NodeId;
-    use simevent::SimDuration;
+    use simevent::{SimDuration, TimerHandle};
     use tcpstack::{EcnMode, TcpConfig};
 
     fn two_tier(racks: u32, per_rack: u32) -> Topology {
@@ -871,5 +882,174 @@ mod tests {
         assert!(report.app_done, "{report:?}");
         assert_eq!(report.flows_completed, 8);
         assert_eq!(sim.net.orphan_packets(), 0);
+    }
+
+    /// Two hosts on a 10 Mb/s rack, one flow from host 0 to host 1. The SYN
+    /// arms host 0's timer at the 1 s initial RTO and the SYN-ACK host 1's
+    /// just after; the first data re-arms both earlier (the 200 ms data RTO,
+    /// the 40 ms delayed ACK), superseding the two events near 1 s.
+    fn slow_pair(bytes: u64) -> (Network, StaticFlows) {
+        let spec = ClusterSpec::single_rack(
+            2,
+            LinkSpec {
+                rate_bps: 10_000_000,
+                delay: SimDuration::from_micros(20),
+            },
+            QdiscSpec::DropTail {
+                capacity_packets: 100,
+            },
+            1,
+        );
+        let flows = StaticFlows::all_at_zero(
+            vec![(NodeId(0), NodeId(1), bytes)],
+            TcpConfig {
+                delayed_ack: 2,
+                ..TcpConfig::default()
+            },
+        );
+        (Network::new(spec), flows)
+    }
+
+    /// The first superseded timer's instant: the SYN's initial RTO.
+    const SYN_RTO: SimTime = SimTime::from_secs(1);
+    /// Host timer events of [`slow_pair`] superseded by an earlier re-arm.
+    const SUPERSEDED: u64 = 2;
+
+    thread_local! {
+        /// `(events popped, most events ever queued)` of the last
+        /// [`RawQueue`] on this thread, superseded host timers included.
+        static RAW: std::cell::Cell<(u64, usize)> = const { std::cell::Cell::new((0, 0)) };
+    }
+
+    /// An [`EventQueue`] that records in [`RAW`] what the engine's own
+    /// counts leave out. One shard runs inline, so the thread is the test's.
+    struct RawQueue(EventQueue<Event>);
+
+    impl QueueBackend<Event> for RawQueue {
+        fn with_tie_break(tie_break: TieBreak) -> Self {
+            RAW.set((0, 0));
+            RawQueue(EventQueue::with_tie_break(tie_break))
+        }
+        fn schedule_in_lane(&mut self, at: SimTime, lane: u64, event: Event) {
+            self.0.schedule_in_lane(at, lane, event);
+            let (pops, high) = RAW.get();
+            RAW.set((pops, high.max(self.0.len())));
+        }
+        fn schedule_cancellable_in_lane(&mut self, _: SimTime, _: u64, _: Event) -> TimerHandle {
+            unreachable!("the engine never cancels")
+        }
+        fn cancel(&mut self, _: TimerHandle) -> bool {
+            unreachable!("the engine never cancels")
+        }
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            let popped = self.0.pop();
+            if popped.is_some() {
+                let (pops, high) = RAW.get();
+                RAW.set((pops + 1, high));
+            }
+            popped
+        }
+        fn peek_time(&self) -> Option<SimTime> {
+            self.0.peek_time()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn scheduled_total(&self) -> u64 {
+            self.0.scheduled_total()
+        }
+        fn clear(&mut self) {
+            self.0.clear();
+        }
+    }
+
+    /// [`StaticFlows`] whose run never reports done, so it ends on its own.
+    struct NeverDone(StaticFlows);
+
+    impl Application for NeverDone {
+        fn on_start(&mut self, net: &mut Network, now: SimTime) {
+            self.0.on_start(net, now);
+        }
+        fn on_flow_complete(&mut self, flow: FlowId, net: &mut Network, now: SimTime) {
+            self.0.on_flow_complete(flow, net, now);
+        }
+        fn on_timer(&mut self, token: u64, net: &mut Network, now: SimTime) {
+            self.0.on_timer(token, net, now);
+        }
+        fn done(&self, _: &Network) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn superseded_timer_is_popped_but_not_counted() {
+        // 3 MB take ~2.5 s, so the superseded events surface mid-run.
+        let (net, app) = slow_pair(3_000_000);
+        let mut sim = Simulation::new(net, app);
+        let report = sim.run_with_backend::<RawQueue>();
+        let (pops, raw_high) = RAW.get();
+        assert!(report.app_done && report.end_time > SYN_RTO, "{report:?}");
+        assert_eq!(sim.net.timers_superseded(), SUPERSEDED);
+        assert_eq!(pops, report.events + SUPERSEDED, "popped, never counted");
+        // Both sat queued under the live events' high-water mark.
+        assert_eq!(
+            report.peak_pending as u64,
+            raw_high as u64 - SUPERSEDED,
+            "peak counts live events"
+        );
+    }
+
+    #[test]
+    fn only_superseded_timers_left_ends_drained() {
+        // 20 KB finish in ~20 ms and the live RTO timer fires empty ~200 ms
+        // later; then only the superseded events near 1 s are queued. A
+        // limit between the two must not turn the drained run into a time
+        // limit.
+        let run = |limit: SimTime| {
+            let (net, app) = slow_pair(20_000);
+            let mut sim = Simulation::new(net, NeverDone(app));
+            sim.time_limit = limit;
+            let report = sim.run();
+            assert_eq!(sim.net.timers_superseded(), SUPERSEDED);
+            report
+        };
+        let free = run(SimTime::from_secs(3600));
+        assert_eq!(free.outcome, RunOutcome::Drained, "{free:?}");
+        assert!(free.end_time < SimTime::from_millis(500), "{free:?}");
+        let capped = run(SimTime::from_millis(500));
+        assert_eq!(capped.outcome, RunOutcome::Drained, "{capped:?}");
+        assert_eq!(capped.end_time, free.end_time);
+        assert_eq!(capped.events, free.events);
+    }
+
+    #[test]
+    fn superseded_timer_is_never_handled() {
+        // Drive one worker by hand through every queued event, the
+        // superseded ones near 1 s included: they are popped and dropped,
+        // and no event is handled at or after the first one's instant.
+        let (mut hull, app) = slow_pair(20_000);
+        let plan = Arc::new(ShardPlan::new(hull.topology(), 1));
+        let net = hull
+            .split(&plan.host_shard, &plan.sw_shard, 1)
+            .pop()
+            .expect("one shard");
+        let tie = TieBreak::Permuted(SHARD_TIE_SEED);
+        let mut w = NetShardWorker::<EventQueue<Event>>::new(0, net, plan, tie);
+        let mut app = NeverDone(app);
+        app.on_start(&mut hull, SimTime::ZERO);
+        for d in hull.take_deferred_flows() {
+            w.install_flow(&d);
+        }
+        while let Some(t) = w.queue.peek_time() {
+            w.drain_instant(t);
+        }
+        assert_eq!(w.net.timers_superseded(), SUPERSEDED);
+        assert_eq!(w.superseded_dropped, SUPERSEDED, "all were popped");
+        assert!(w.events > 0);
+        assert!(
+            w.last_event < SYN_RTO,
+            "an event was handled at {:?}",
+            w.last_event
+        );
     }
 }

@@ -102,11 +102,6 @@ impl Bbr {
         self.bw[0].val
     }
 
-    /// Filtered minimum RTT, ns (`u64::MAX` until a sample exists).
-    pub fn min_rtt(&self) -> u64 {
-        self.min_rtt_ns
-    }
-
     /// Bandwidth-delay product from the filters, bytes; 0 until both filters
     /// have samples.
     fn bdp(&self) -> f64 {

@@ -11,8 +11,9 @@
 //!   `(time, tie)`, with a deterministic order for events scheduled at the
 //!   same instant, which is required for deterministic packet ordering. The
 //!   simulation engine (`netsim`) runs one per shard.
-//! * [`TimerHandle`] cancellation (lazy deletion), so rearmed timers stop
-//!   ballooning the pending-event set.
+//! * [`TimerHandle`] cancellation, a plain O(n) removal. The engine never
+//!   cancels: a re-armed host leaves its superseded timer event queued and
+//!   drops it by generation when it surfaces.
 //! * [`QueueBackend`] — the queue operations as a trait, so a wrapper (the
 //!   `simbench` benchmark's call-counting queue) can stand in for
 //!   [`EventQueue`] in the engine.

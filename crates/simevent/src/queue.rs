@@ -1,6 +1,6 @@
 //! Stable priority queue of timestamped events.
 
-use crate::handle::{CancelSet, TimerHandle};
+use crate::handle::TimerHandle;
 use crate::tiebreak::TieBreak;
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -9,8 +9,8 @@ use std::collections::BinaryHeap;
 /// An event plus the instant it fires and its tie key ([`TieBreak::key`] of
 /// the schedule order and lane). Under the default [`TieBreak::Fifo`] policy
 /// the key is the schedule order, so same-instant events pop in the order
-/// they were scheduled (FIFO), which is what keeps whole simulations
-/// deterministic. The key is unique per queue, so it is also the identity a
+/// they were scheduled (FIFO); either policy gives one deterministic order.
+/// The key is unique per queue, so it is also the identity a
 /// [`TimerHandle`] cancels by.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
@@ -58,9 +58,13 @@ impl<E> Ord for ScheduledEvent<E> {
 ///
 /// The contract, which the op-harness proptests below check against a naive
 /// model: pops are globally ordered by `(time, tie)`, where `tie` is
-/// [`TieBreak::key`] of the schedule order and lane; cancellation is O(1)
-/// lazy deletion with live [`len`](Self::len) accounting; a cancel of a
-/// fired or already-cancelled event returns `false`.
+/// [`TieBreak::key`] of the schedule order and lane; a cancel removes the
+/// event at once, so [`len`](Self::len) counts only events that will pop; a
+/// cancel of a fired or already-cancelled event returns `false`.
+///
+/// The simulation engine never cancels: a host re-armed to an earlier
+/// deadline leaves its superseded timer event queued and drops it, by
+/// generation, when it surfaces. Cancellation stays for other queue users.
 pub trait QueueBackend<E> {
     /// An empty queue using the default FIFO tie-break.
     fn empty() -> Self
@@ -88,20 +92,20 @@ pub trait QueueBackend<E> {
     /// Cancel a previously scheduled event. `false` if it already fired or
     /// was already cancelled.
     fn cancel(&mut self, handle: TimerHandle) -> bool;
-    /// Remove and return the earliest live event, if any.
+    /// Remove and return the earliest event, if any.
     fn pop(&mut self) -> Option<(SimTime, E)>;
-    /// Remove and return the earliest live event if it fires before `end`.
+    /// Remove and return the earliest event if it fires before `end`.
     fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
         match self.peek_time() {
             Some(t) if t < end => self.pop(),
             _ => None,
         }
     }
-    /// The firing time of the earliest live pending event.
+    /// The firing time of the earliest pending event.
     fn peek_time(&self) -> Option<SimTime>;
-    /// Number of live pending events (cancelled events excluded).
+    /// Number of pending events.
     fn len(&self) -> usize;
-    /// True when no live events are pending.
+    /// True when no events are pending.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -110,8 +114,7 @@ pub trait QueueBackend<E> {
     fn scheduled_total(&self) -> u64;
     /// Drop all pending events. Does not reset `scheduled_total`.
     fn clear(&mut self);
-    /// Release excess capacity after a burst, including any physical storage
-    /// still held by lazily-cancelled events. Semantically a no-op: live
+    /// Release excess capacity after a burst. Semantically a no-op: pending
     /// events, pop order, and counters are unaffected.
     fn shrink_to_fit(&mut self) {}
 }
@@ -120,14 +123,12 @@ pub trait QueueBackend<E> {
 ///
 /// Events are popped in nondecreasing time order; events scheduled for the
 /// same instant are popped in scheduling order under [`TieBreak::Fifo`], or
-/// in the seeded [`TieBreak::Permuted`] order. Cancelled events stay in the
-/// heap and are skipped when they surface. The simulation engine runs one
-/// per shard.
+/// in the seeded [`TieBreak::Permuted`] order. The simulation engine runs
+/// one per shard.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
-    cancels: CancelSet,
     tie_break: TieBreak,
 }
 
@@ -148,7 +149,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancels: CancelSet::default(),
             tie_break,
         }
     }
@@ -163,7 +163,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
-            cancels: CancelSet::default(),
             tie_break: TieBreak::Fifo,
         }
     }
@@ -174,27 +173,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Release excess capacity after a burst (e.g. between sweep points).
-    ///
-    /// Cancelled-but-unreaped events are physically dropped first: they are
-    /// dead weight the allocator would otherwise keep sized for, and leaving
-    /// them in place made post-shrink capacity (and the pending-accounting
-    /// derived from it) report a stale burst high-water mark. Compaction
-    /// never changes pop order — only tombstones are removed.
     pub fn shrink_to_fit(&mut self) {
-        if self.cancels.pending_cancelled() > 0 {
-            let live: Vec<ScheduledEvent<E>> = std::mem::take(&mut self.heap)
-                .into_iter()
-                .filter(|se| {
-                    if self.cancels.is_cancelled(se.tie) {
-                        self.cancels.reap(se.tie);
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .collect();
-            self.heap = BinaryHeap::from(live);
-        }
         self.heap.shrink_to_fit();
     }
 
@@ -228,68 +207,41 @@ impl<E> EventQueue<E> {
         lane: u64,
         event: E,
     ) -> TimerHandle {
-        let tie = self.push(at, lane, event);
-        self.cancels.register(tie)
+        TimerHandle(self.push(at, lane, event))
     }
 
-    /// Cancel a pending event (lazy deletion: it is skipped when popped).
+    /// Cancel a pending event by removing it from the heap: O(n), which is
+    /// why the simulation engine never calls it. `false` if the event
+    /// already fired or was already cancelled.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        self.cancels.cancel(handle)
+        let before = self.heap.len();
+        self.heap.retain(|se| se.tie != handle.0);
+        self.heap.len() < before
     }
 
-    /// Remove and return the earliest live event, if any.
+    /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(se) = self.heap.pop() {
-            if self.cancels.reap(se.tie) {
-                continue;
-            }
-            // Pop-is-minimum invariant: nothing still queued may fire before
-            // the event we just removed (debug builds only).
-            debug_assert!(
-                self.peek_time().is_none_or(|next| se.at <= next),
-                "EventQueue popped an event later than the remaining head"
-            );
-            return Some((se.at, se.event));
-        }
-        None
+        let se = self.heap.pop()?;
+        // Pop-is-minimum invariant: nothing still queued may fire before
+        // the event we just removed (debug builds only).
+        debug_assert!(
+            self.peek_time().is_none_or(|next| se.at <= next),
+            "EventQueue popped an event later than the remaining head"
+        );
+        Some((se.at, se.event))
     }
 
-    /// Remove and return the earliest live event if it fires before `end`.
-    /// Cancelled events surfacing on the way are reaped, so unlike a
-    /// [`peek_time`](Self::peek_time) + [`pop`](Self::pop) pair this never
-    /// scans the heap and checks each event's cancellation once.
-    pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
-        while self.heap.peek()?.at < end {
-            let se = self.heap.pop()?;
-            if !self.cancels.reap(se.tie) {
-                return Some((se.at, se.event));
-            }
-        }
-        // The head fires at or after `end`, so every live event does too.
-        None
-    }
-
-    /// The firing time of the earliest live pending event.
+    /// The firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let head = self.heap.peek()?;
-        if !self.cancels.is_cancelled(head.tie) {
-            return Some(head.at);
-        }
-        // Rare path: the head is a lazily-deleted timer; fall back to a scan
-        // over live events rather than mutating from a peek.
-        self.heap
-            .iter()
-            .filter(|se| !self.cancels.is_cancelled(se.tie))
-            .map(|se| se.at)
-            .min()
+        self.heap.peek().map(|se| se.at)
     }
 
-    /// Number of live pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancels.pending_cancelled()
+        self.heap.len()
     }
 
-    /// True when no live events are pending.
+    /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -305,7 +257,6 @@ impl<E> EventQueue<E> {
     /// Drop all pending events (keeps the schedule counter).
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.cancels.clear();
     }
 }
 
@@ -324,9 +275,6 @@ impl<E> QueueBackend<E> for EventQueue<E> {
     }
     fn pop(&mut self) -> Option<(SimTime, E)> {
         EventQueue::pop(self)
-    }
-    fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
-        EventQueue::pop_before(self, end)
     }
     fn peek_time(&self) -> Option<SimTime> {
         EventQueue::peek_time(self)
@@ -447,11 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn shrink_to_fit_compacts_cancelled_tombstones() {
-        // Regression: a burst of rearmed timers leaves the heap full of
-        // cancelled tombstones; shrink_to_fit used to shrink around them, so
-        // capacity (and the pending accounting built on it) stayed at the
-        // stale burst high-water mark.
+    fn cancel_then_shrink_releases_the_burst() {
+        // A burst of cancelled events leaves nothing behind: cancel removes
+        // each one, so shrink_to_fit sizes the heap for the one event left.
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut handles = Vec::new();
         for i in 0..1024u64 {
@@ -465,12 +411,12 @@ mod tests {
         q.shrink_to_fit();
         assert!(
             q.capacity() < 1024,
-            "capacity must reflect live events, not tombstones (got {})",
+            "capacity must reflect pending events (got {})",
             q.capacity()
         );
-        assert_eq!(q.len(), 1, "compaction never touches live events");
+        assert_eq!(q.len(), 1, "shrinking never touches pending events");
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(999)));
-        // The surviving handle is still live and still cancellable.
+        // The surviving handle is still pending and still cancellable.
         assert!(q.cancel(keeper));
         assert!(q.pop().is_none());
     }
@@ -484,7 +430,7 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert!(q.cancel(h2));
         assert!(!q.cancel(h2), "double cancel is a no-op");
-        assert_eq!(q.len(), 2, "len is live events only");
+        assert_eq!(q.len(), 2, "a cancelled event is gone at once");
         assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 1)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 3)), "2 was skipped");
         assert!(!q.cancel(h3), "cancel after fire reports false");
@@ -744,7 +690,7 @@ mod equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The queue matches the model under the production FIFO policy.
+        /// The queue matches the model under the FIFO policy.
         #[test]
         fn matches_model_fifo(ops in prop::collection::vec(arb_op(), 1..300)) {
             check_against_model(ops, TieBreak::Fifo)?;

@@ -5,13 +5,15 @@
 //! packed `(dest, src)` pair naming the entity that will handle the event
 //! and the entity that produced it. Under [`TieBreak::Fifo`] the tie key
 //! *is* the sequence number, so same-instant events pop in the order they
-//! were scheduled — the production default the whole determinism contract
-//! is written against.
+//! were scheduled. The simulation engine uses FIFO only for the
+//! application's timers, which one coordinator queue serialises; every
+//! shard queue runs [`TieBreak::Permuted`] under a fixed seed, whatever the
+//! simulation is configured with.
 //!
 //! [`TieBreak::Permuted`] reorders same-instant events *across destination
 //! entities* by a seeded pseudo-random rank, while ordering events for the
 //! same destination canonically by `(src, schedule order)`. That models a
-//! sharded engine (ROADMAP item 2) exactly: shards have no global order at
+//! sharded engine exactly: shards have no global order at
 //! an instant (the seeded rank is one arbitrary interleaving), but every
 //! shard merges its incoming same-timestamp messages deterministically by
 //! source channel — per-source FIFO, sources in a fixed canonical order.
@@ -29,7 +31,8 @@
 /// How same-timestamp events are ordered relative to each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TieBreak {
-    /// Global schedule order (FIFO). The production default.
+    /// Global schedule order (FIFO). The default of a bare queue; the
+    /// engine's shard queues never run it (see the module docs).
     #[default]
     Fifo,
     /// Seeded pseudo-random rank over destination entities; canonical

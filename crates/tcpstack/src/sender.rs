@@ -287,20 +287,9 @@ impl Sender {
         self.cong.cc.alpha()
     }
 
-    /// Which congestion-control algorithm this flow runs.
-    pub fn cc_alg(&self) -> simcc::CcAlg {
-        self.cong.cc.alg()
-    }
-
     /// The controller's model-based pacing rate, if it computes one (BBR).
     pub fn pacing_rate(&self) -> Option<f64> {
         self.cong.cc.pacing_rate()
-    }
-
-    /// True while the controller is in a classic-ECN fallback episode
-    /// (Prague only).
-    pub fn in_cc_fallback(&self) -> bool {
-        self.cong.cc.in_fallback()
     }
 
     /// True once the handshake completed and ECN was agreed by both ends.
@@ -326,11 +315,6 @@ impl Sender {
     /// True while unacknowledged data (or SYN) is outstanding.
     pub fn has_outstanding(&self) -> bool {
         self.snd_nxt > self.cong.snd_una
-    }
-
-    /// Bytes currently marked received-out-of-order by the SACK scoreboard.
-    pub fn sacked_bytes(&self) -> u64 {
-        self.sacked.covered_len()
     }
 
     // ----- packet construction --------------------------------------------
