@@ -11,10 +11,11 @@
 //!   cluster uses: racks of hosts under ToR switches, ToRs under a core
 //!   switch, with independently configurable buffer depths and AQMs;
 //! * [`Network`] — owns hosts (with their TCP endpoints), switches, routing
-//!   and metrics, and handles the four event types of the simulation;
-//! * [`Simulation`] / [`Application`] — the event loop plus the hook through
-//!   which a workload (e.g. `mrsim`'s Terasort) starts flows and reacts to
-//!   their completion.
+//!   and metrics: what an application starts flows and app timers on, and
+//!   reads results from;
+//! * [`Simulation`] / [`Application`] — the event loop, which alone handles
+//!   events, plus the hook through which a workload (e.g. `mrsim`'s
+//!   Terasort) starts flows and reacts to their completion.
 
 mod apps;
 mod link;

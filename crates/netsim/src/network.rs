@@ -860,32 +860,24 @@ impl Network {
     /// [`Network::add_flow`], future ones), and makes [`Network::sample`]
     /// emit [`EventKind::QueueDepth`] events for the traced port.
     pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.host_qids.clear();
-        self.switch_qids.clear();
         let host_ids = &self.host_ids;
-        for (i, host) in self.hosts.iter_mut().enumerate() {
+        let host_qids = self.hosts.iter().enumerate().map(|(i, host)| {
             let h = host_ids.get(i).map_or(i, |&g| g as usize);
-            let id = trace.register_queue(&format!("host{h}/nic: {}", host.nic.qdisc.name()));
-            host.nic.qdisc.set_trace(trace.clone(), id);
-            self.host_qids.push(id);
-            for ep in &mut host.eps {
-                if let Endpoint::Tx(s) = ep {
-                    s.set_trace(trace.clone());
-                }
-            }
-        }
+            trace.register_queue(&format!("host{h}/nic: {}", host.nic.qdisc.name()))
+        });
+        self.host_qids = host_qids.collect();
         let sw_ids = &self.sw_ids;
-        for (i, sw) in self.switches.iter_mut().enumerate() {
+        let switch_qids = self.switches.iter().enumerate().map(|(i, sw)| {
             let si = sw_ids.get(i).map_or(i, |&g| g as usize);
-            let mut qids = Vec::with_capacity(sw.ports.len());
-            for (pi, port) in sw.ports.iter_mut().enumerate() {
-                let id = trace.register_queue(&format!("sw{si}/p{pi}: {}", port.qdisc.name()));
-                port.qdisc.set_trace(trace.clone(), id);
-                qids.push(id);
-            }
-            self.switch_qids.push(qids);
-        }
-        self.pkt_trace = trace;
+            let ports = sw.ports.iter().enumerate();
+            ports
+                .map(|(pi, port)| {
+                    trace.register_queue(&format!("sw{si}/p{pi}: {}", port.qdisc.name()))
+                })
+                .collect()
+        });
+        self.switch_qids = switch_qids.collect();
+        self.refan_trace(trace);
     }
 
     /// The topology this network was built over.
@@ -1022,7 +1014,7 @@ impl Network {
 
     /// Process one event. `AppTimer` events must be routed to the application
     /// by the caller, not here.
-    pub fn handle(&mut self, ev: Event, now: SimTime) {
+    pub(crate) fn handle(&mut self, ev: Event, now: SimTime) {
         match ev {
             Event::Arrive { dev, packet } => match dev {
                 DevRef::Switch(s) => self.arrive_at_switch(s, packet, now),
@@ -1433,9 +1425,9 @@ impl Network {
     }
 
     /// Point every owned queue discipline and sender at `trace`, reusing the
-    /// queue ids registered (pre-split) on the hull's handle. Unlike
-    /// [`Network::set_trace`] this never registers queues, so shard sinks
-    /// produce events whose ids line up with the serial preamble.
+    /// queue ids [`Network::set_trace`] registered (pre-split) on the hull's
+    /// handle. This never registers queues, so shard sinks produce events
+    /// whose ids line up with the serial preamble.
     pub(crate) fn refan_trace(&mut self, trace: TraceHandle) {
         let host_qids = &self.host_qids;
         for (i, host) in self.hosts.iter_mut().enumerate() {
@@ -1656,14 +1648,14 @@ impl Network {
     // ----- draining by the sim loop -----------------------------------------
 
     /// Take the events generated since the last call.
-    pub fn take_pending(&mut self) -> Vec<(SimTime, u16, Event)> {
+    pub(crate) fn take_pending(&mut self) -> Vec<(SimTime, u16, Event)> {
         std::mem::take(&mut self.pending)
     }
 
     /// Like [`Network::take_pending`], but swaps the pending buffer with
     /// `buf` (which must be empty) so the event loop can reuse one allocation
     /// for the lifetime of the run instead of allocating per event.
-    pub fn swap_pending(&mut self, buf: &mut Vec<(SimTime, u16, Event)>) {
+    pub(crate) fn swap_pending(&mut self, buf: &mut Vec<(SimTime, u16, Event)>) {
         debug_assert!(buf.is_empty(), "swap_pending requires an empty buffer");
         std::mem::swap(&mut self.pending, buf);
     }
@@ -1676,14 +1668,14 @@ impl Network {
 
     /// Mark the current end of the pending-event buffer, for
     /// [`Network::tag_new_app_timers`]. Used by application combinators.
-    pub fn take_pending_token_snapshot(&self) -> usize {
+    pub(crate) fn take_pending_token_snapshot(&self) -> usize {
         self.pending.len()
     }
 
     /// OR `bit` into the token of every [`Event::AppTimer`] pushed since the
     /// snapshot — how [`crate::PairApp`] namespaces its secondary
     /// application's timers.
-    pub fn tag_new_app_timers(&mut self, since: usize, bit: u64) {
+    pub(crate) fn tag_new_app_timers(&mut self, since: usize, bit: u64) {
         for (_, _, ev) in self.pending.iter_mut().skip(since) {
             if let Event::AppTimer { token } = ev {
                 *token |= bit;
@@ -1704,7 +1696,7 @@ impl Network {
 
     /// Take the flows whose sender completed since the last call, with
     /// their completion times.
-    pub fn take_completed(&mut self) -> Vec<(FlowId, SimTime)> {
+    pub(crate) fn take_completed(&mut self) -> Vec<(FlowId, SimTime)> {
         std::mem::take(&mut self.completed)
     }
 

@@ -175,6 +175,20 @@ pub(crate) struct WireMsg {
     pkt: Packet,
 }
 
+/// What a shard tells the coordinator after each window, delivery and
+/// special instant: everything it needs to pick the next window.
+#[derive(Clone, Default)]
+pub(crate) struct ShardReport {
+    /// The earliest pending event; `None` if only superseded timers remain.
+    next: Option<SimTime>,
+    /// The earliest pending completion candidate.
+    candidate: Option<SimTime>,
+    /// Flows to check for retirement ([`Network::take_retire_candidates`]).
+    /// They accumulate until [`retire_quiescent`] takes them, so a delivery
+    /// never drops the ones its window found.
+    retire: Vec<FlowId>,
+}
+
 /// One shard: a device-subset [`Network`] plus its local event queue.
 pub(crate) struct NetShardWorker<Q> {
     shard: u32,
@@ -295,43 +309,32 @@ impl<Q: QueueBackend<Event>> NetShardWorker<Q> {
         any
     }
 
-    /// Earliest completion candidate at or after `not_before` (older entries
-    /// are stale: their instant has already been mini-looped).
-    fn next_candidate(&mut self, not_before: SimTime) -> Option<SimTime> {
-        while let Some(&Reverse(t)) = self.candidates.peek() {
-            if t < not_before {
-                self.candidates.pop();
-            } else {
-                return Some(t);
+    /// Fill in this shard's report. A candidate before the queue head is
+    /// stale: every event there has run, so its instant was mini-looped.
+    /// The next time is the head's, which may be a superseded timer's:
+    /// windows may end early, which changes nothing. It is `None` once only
+    /// superseded timers remain, so they never hold a run open.
+    fn report(&mut self, r: &mut ShardReport) {
+        let head = self.queue.peek_time();
+        while let Some(&Reverse(c)) = self.candidates.peek() {
+            if head.is_some_and(|h| c >= h) {
+                break;
             }
+            self.candidates.pop();
         }
-        None
+        r.next = head.filter(|_| self.live_pending() > 0);
+        r.candidate = self.candidates.peek().map(|&Reverse(c)| c);
+        self.net.take_retire_candidates(&mut r.retire);
     }
 
-    fn install_flow(&mut self, d: &DeferredFlow) {
-        self.net.install_flow(d);
-        self.absorb_pending(d.now);
-    }
-}
-
-impl<Q: QueueBackend<Event> + Send> EpochWorker for NetShardWorker<Q> {
-    type Msg = WireMsg;
-
-    /// The head's time, which may be a superseded timer's: windows may end
-    /// early, which changes nothing. `None` once only superseded timers
-    /// remain, so they never hold a run open.
-    fn next_time(&self) -> Option<SimTime> {
-        if self.live_pending() == 0 {
-            return None;
-        }
-        self.queue.peek_time()
-    }
-
-    /// Also stops at the earliest completion candidate noted during the
-    /// window: that instant needs the serial mini-loop. Only an unbounded
-    /// one-shard window meets one; a candidate is noted a full link delay
-    /// before it fires, past the end of any lookahead-bounded window.
-    fn run_window(&mut self, end: SimTime) {
+    /// The window's event loop, kept out of line: inlined into `run_window`,
+    /// whose outbox and report stay live across it, `shuffle` ran ~8%
+    /// slower. It also stops at the earliest completion candidate noted
+    /// during the window, as that instant needs the serial mini-loop. Only an
+    /// unbounded one-shard window meets one: a candidate is noted a full link
+    /// delay before it fires, past the end of any lookahead-bounded window.
+    #[inline(never)]
+    fn run_until(&mut self, end: SimTime) {
         loop {
             let stop = match self.candidates.peek() {
                 Some(&Reverse(c)) => end.min(c),
@@ -344,11 +347,23 @@ impl<Q: QueueBackend<Event> + Send> EpochWorker for NetShardWorker<Q> {
         }
     }
 
-    fn take_outbox(&mut self) -> Vec<ShardMsg<WireMsg>> {
-        std::mem::take(&mut self.outbox)
+    fn install_flow(&mut self, d: &DeferredFlow) {
+        self.net.install_flow(d);
+        self.absorb_pending(d.now);
+    }
+}
+
+impl<Q: QueueBackend<Event> + Send> EpochWorker for NetShardWorker<Q> {
+    type Msg = WireMsg;
+    type Report = ShardReport;
+
+    fn run_window(&mut self, end: SimTime, out: &mut Vec<ShardMsg<WireMsg>>, r: &mut ShardReport) {
+        self.run_until(end);
+        out.append(&mut self.outbox);
+        self.report(r);
     }
 
-    fn inject(&mut self, msgs: Vec<ShardMsg<WireMsg>>) {
+    fn inject(&mut self, msgs: std::vec::Drain<'_, ShardMsg<WireMsg>>, r: &mut ShardReport) {
         for m in msgs {
             let WireMsg { dev, src, pkt } = m.payload;
             let packet = self.net.pool_insert(pkt);
@@ -360,36 +375,44 @@ impl<Q: QueueBackend<Event> + Send> EpochWorker for NetShardWorker<Q> {
                 .schedule_in_lane(m.at, event_tie_lane(src, &ev), ev);
         }
         self.note_peak();
+        self.report(r);
     }
 }
 
 /// Retire every candidate flow that is quiescent across the whole fabric:
 /// no packet of it in any shard's pool and every endpoint idle. The
 /// candidates are the flows that completed on a shard, or whose live count
-/// reached zero in a shard's pool, since the last call
-/// ([`Network::take_retire_candidates`]); `cands` is left empty. Every shard
-/// starts watching each candidate here, so a later zero transition anywhere
-/// brings a still-busy flow back. Shards must be quiescent: between windows,
-/// every outbox routed.
+/// reached zero in a shard's pool, taken from every report. One pass over
+/// the shards checks them all, and every shard starts watching each
+/// candidate there, so a later zero transition anywhere brings a still-busy
+/// flow back; a second pass retires the quiet ones. `cands` is scratch
+/// reused across calls: each candidate with whether it is quiet so far.
+/// Shards must be quiescent: between windows, every outbox routed.
 fn retire_quiescent<Q: QueueBackend<Event> + Send>(
     crew: &mut CrewHandle<NetShardWorker<Q>>,
-    cands: &mut Vec<FlowId>,
+    reports: &mut [ShardReport],
+    cands: &mut Vec<(FlowId, bool)>,
 ) {
+    for r in reports.iter_mut() {
+        cands.extend(r.retire.drain(..).map(|f| (f, true)));
+    }
     if cands.is_empty() {
         return;
     }
     cands.sort_unstable();
     cands.dedup();
-    cands.retain(|&f| {
-        let mut quiet = true;
-        crew.for_each_worker(|_, w| {
-            let live = w.net.watch_flow(f);
-            quiet &= live == 0 && w.net.endpoints_idle(f);
-        });
-        quiet
+    crew.for_each_worker(|_, w| {
+        for (f, quiet) in cands.iter_mut() {
+            let live = w.net.watch_flow(*f);
+            *quiet &= live == 0 && w.net.endpoints_idle(*f);
+        }
     });
-    for &f in cands.iter() {
-        crew.for_each_worker(|_, w| w.net.retire_flow(f));
+    if cands.iter().any(|&(_, quiet)| quiet) {
+        crew.for_each_worker(|_, w| {
+            for &(f, _) in cands.iter().filter(|&&(_, quiet)| quiet) {
+                w.net.retire_flow(f);
+            }
+        });
     }
     cands.clear();
 }
@@ -407,8 +430,9 @@ fn absorb_hull(net: &mut Network, app_q: &mut EventQueue<u64>, now: SimTime) {
 }
 
 /// Apply everything the application just did to the hull: absorb new app
-/// timers and install newly added flows on every shard (each shard records
-/// the flow; only endpoint owners build state).
+/// timers and install the newly added flows on every shard, the whole batch
+/// per shard (each shard records every flow; only endpoint owners build
+/// state).
 fn install_hull_products<Q: QueueBackend<Event> + Send>(
     crew: &mut CrewHandle<NetShardWorker<Q>>,
     app_q: &mut EventQueue<u64>,
@@ -416,45 +440,54 @@ fn install_hull_products<Q: QueueBackend<Event> + Send>(
     now: SimTime,
 ) {
     absorb_hull(net, app_q, now);
-    for d in net.take_deferred_flows() {
-        for s in 0..crew.num_shards() {
-            crew.with_worker(s, |w| w.install_flow(&d));
-        }
+    let flows = net.take_deferred_flows();
+    if !flows.is_empty() {
+        crew.for_each_worker(|_, w| {
+            for d in &flows {
+                w.install_flow(d);
+            }
+        });
     }
 }
 
 /// The serial same-instant mini-loop: device events shard-by-shard,
 /// completions in flow-id order, then app timers — repeated until the
-/// instant is fully drained. Returns `true` when the application is done.
+/// instant is fully drained. Returns `true` when the application is done;
+/// otherwise the last pass over the shards has left `reports` current.
 fn process_instant<A: Application, Q: QueueBackend<Event> + Send>(
     crew: &mut CrewHandle<NetShardWorker<Q>>,
     app_q: &mut EventQueue<u64>,
-    retire: &mut Vec<FlowId>,
+    reports: &mut [ShardReport],
+    retire: &mut Vec<(FlowId, bool)>,
     net: &mut Network,
     app: &mut A,
     c: SimTime,
-    app_events: &mut u64,
 ) -> bool {
+    let mut out = Vec::new();
     loop {
         let mut did = false;
         // (a) Device events at `c`, ascending shard order. Cross-shard
         // products land strictly later; routing them now keeps them visible
         // to the window-end computation of the next iteration.
         for s in 0..crew.num_shards() {
-            let (any, out) = crew.with_worker(s, |w| (w.drain_instant(c), w.take_outbox()));
-            did |= any;
-            crew.route(out);
+            did |= crew.with_worker(s, |w| {
+                let any = w.drain_instant(c);
+                out.append(&mut w.outbox);
+                any
+            });
+            crew.route(&mut out, reports);
         }
         // (b) Completions, globally ordered by flow id — the shard-count
         // invariant order (shard-ascending would vary with the partition).
+        // If nothing happens after this pass, its reports are the final ones.
         let mut comps: Vec<(FlowId, SimTime)> = Vec::new();
-        crew.for_each_worker(|_, w| {
+        crew.for_each_worker(|s, w| {
             comps.extend(w.net.take_completed());
-            w.net.take_retire_candidates(retire);
+            w.report(&mut reports[s]);
         });
         // Retire before the application hears of the completions, so flows
         // it starts in response can take the finished flows' slots.
-        retire_quiescent(crew, retire);
+        retire_quiescent(crew, reports, retire);
         comps.sort_by_key(|&(f, _)| f);
         for (f, at) in comps {
             net.sync_completion(f, at);
@@ -468,7 +501,6 @@ fn process_instant<A: Application, Q: QueueBackend<Event> + Send>(
         // (c) Application timers at `c`, in schedule order.
         while app_q.peek_time() == Some(c) {
             let (_, token) = app_q.pop().expect("peeked timer vanished");
-            *app_events += 1;
             app.on_timer(token, net, c);
             install_hull_products(crew, app_q, net, c);
             did = true;
@@ -525,7 +557,7 @@ impl<A: Application> Simulation<A> {
                 }
             })
             .collect();
-        let mut workers: Vec<NetShardWorker<Q>> = shard_nets
+        let workers: Vec<NetShardWorker<Q>> = shard_nets
             .into_iter()
             .enumerate()
             .map(|(i, mut sn)| {
@@ -536,27 +568,20 @@ impl<A: Application> Simulation<A> {
 
         // The application drives the hull; its flows install onto shards.
         let mut app_q: EventQueue<u64> = EventQueue::new(); // FIFO
-        app.on_start(net, SimTime::ZERO);
-        absorb_hull(net, &mut app_q, SimTime::ZERO);
-        for d in net.take_deferred_flows() {
-            for w in &mut workers {
-                w.install_flow(&d);
+        let (workers, (outcome, clock)) = run_crew(workers, |crew| {
+            app.on_start(net, SimTime::ZERO);
+            install_hull_products(crew, &mut app_q, net, SimTime::ZERO);
+            if app.done(net) {
+                return (RunOutcome::Stopped, SimTime::ZERO);
             }
-        }
-        let early_done = app.done(net);
-
-        let (workers, (outcome, clock, app_events)) = run_crew(workers, |crew| {
-            if early_done {
-                return (RunOutcome::Stopped, SimTime::ZERO, 0u64);
-            }
+            let mut reports = vec![ShardReport::default(); eff];
+            let mut retire = Vec::new();
+            crew.for_each_worker(|s, w| w.report(&mut reports[s]));
             let mut clock = SimTime::ZERO;
-            let mut app_events = 0u64;
-            let mut retire: Vec<FlowId> = Vec::new();
             let outcome = loop {
-                let t_min = match (crew.min_next_time(), app_q.peek_time()) {
-                    (None, None) => break RunOutcome::Drained,
-                    (Some(a), Some(b)) => a.min(b),
-                    (a, b) => a.or(b).expect("one side is Some"),
+                let next = reports.iter().filter_map(|r| r.next);
+                let Some(t_min) = next.chain(app_q.peek_time()).min() else {
+                    break RunOutcome::Drained;
                 };
                 if t_min > limit {
                     clock = limit;
@@ -564,45 +589,34 @@ impl<A: Application> Simulation<A> {
                 }
                 // The earliest instant that needs the serial mini-loop: a
                 // possible completion or an application timer.
-                let mut special = app_q.peek_time();
-                crew.for_each_worker(|_, w| {
-                    if let Some(c) = w.next_candidate(t_min) {
-                        special = Some(special.map_or(c, |s| s.min(c)));
-                    }
-                    w.net.take_retire_candidates(&mut retire);
-                });
+                let candidates = reports.iter().filter_map(|r| r.candidate);
+                let special = candidates.chain(app_q.peek_time()).min();
                 // Every shard is quiescent here: after a barrier or a
                 // special instant, with every outbox routed.
-                retire_quiescent(crew, &mut retire);
+                retire_quiescent(crew, &mut reports, &mut retire);
                 if special == Some(t_min) || lookahead.is_some_and(|l| l.as_nanos() == 0) {
                     clock = t_min;
-                    if process_instant(
-                        crew,
-                        &mut app_q,
-                        &mut retire,
-                        net,
-                        app,
-                        t_min,
-                        &mut app_events,
-                    ) {
+                    if process_instant(crew, &mut app_q, &mut reports, &mut retire, net, app, t_min)
+                    {
                         break RunOutcome::Stopped;
                     }
                 } else {
                     // Candidates noted by now are known a full lookahead
                     // early (the completing ACK crossed a link), so none can
                     // hide inside a bounded window; an unbounded one stops
-                    // at any it notes itself (`run_window`).
+                    // at any it notes itself (`run_until`).
                     let mut end = special.unwrap_or(hard_end);
                     if let Some(l) = lookahead {
                         end = end.min(t_min + l);
                     }
-                    crew.step(end.min(hard_end));
+                    crew.step(end.min(hard_end), &mut reports);
                 }
             };
-            (outcome, clock, app_events)
+            (outcome, clock)
         });
 
-        let mut events = app_events;
+        // Every application timer popped was handled.
+        let mut events = app_q.scheduled_total() - app_q.len() as u64;
         let mut last = clock;
         let mut peak_pending = 0usize;
         let mut shard_nets = Vec::with_capacity(workers.len());
@@ -790,13 +804,20 @@ mod tests {
     /// racks 0 and 1 are both on shard 0 but the core switch rides with
     /// shard 1, so every packet crosses a shard that owns neither endpoint:
     /// only the live count summed over both pools may retire a flow.
+    ///
+    /// One more batch starts at t = 0 on hosts the waves never use, so
+    /// `on_start` installs it in one pass per shard, with sources on several
+    /// shards at two and four shards. Its three same-rack flows mirror each
+    /// other, so they complete at one instant and retire together.
     #[test]
     fn sequential_flows_retire_identically_at_every_shard_count() {
         const WAVES: u32 = 6;
-        const FLOWS: u32 = 4 * WAVES;
         const STAGGER_US: u64 = 2_000;
+        const BATCH: [(u32, u32); 4] = [(6, 7), (10, 11), (14, 15), (9, 13)];
+        const FLOWS: u32 = 4 * WAVES + BATCH.len() as u32;
         let cfg = TcpConfig::with_ecn(EcnMode::Dctcp);
-        let flows: Vec<_> = (0..FLOWS)
+        let batch = BATCH.map(|(s, d)| (SimTime::ZERO, NodeId(s), NodeId(d), 60_000, cfg.clone()));
+        let flows: Vec<_> = (0..4 * WAVES)
             .map(|i| {
                 let (wave, k) = (i / 4, i % 4);
                 let hot = NodeId(4 + wave % 2);
@@ -808,6 +829,7 @@ mod tests {
                 let at = SimTime::from_micros(u64::from(wave) * STAGGER_US + u64::from(k));
                 (at, src, dst, 60_000 + u64::from(i) * 100, cfg.clone())
             })
+            .chain(batch)
             .collect();
         let red_mimic = || match two_tier(4, 4) {
             Topology::TwoTier(spec) => Topology::TwoTier(ClusterSpec {
@@ -850,6 +872,14 @@ mod tests {
                 "{shards} shards: {} endpoint slots for {FLOWS} flows",
                 report.endpoint_slots
             );
+            let batch_done = |src: u32| {
+                let mut recs = net.flows().filter(|r| r.src == NodeId(src));
+                recs.find(|r| r.started == SimTime::ZERO)
+                    .and_then(|r| r.completed)
+            };
+            assert!(batch_done(6).is_some());
+            assert_eq!(batch_done(6), batch_done(10), "{shards} shards");
+            assert_eq!(batch_done(6), batch_done(14), "{shards} shards");
             match &first {
                 None => first = Some((out, report.endpoint_slots)),
                 Some((one, slots)) => {

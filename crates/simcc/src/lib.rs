@@ -211,10 +211,6 @@ pub trait CongestionController {
     fn fallback_count(&self) -> u64 {
         0
     }
-    /// True while a classic-ECN fallback episode is active.
-    fn in_fallback(&self) -> bool {
-        false
-    }
 }
 
 /// Shared cwnd/ssthresh pair with the NewReno mechanics used verbatim by the
@@ -359,9 +355,6 @@ impl CongestionController for Cc {
     }
     fn fallback_count(&self) -> u64 {
         dispatch!(self, c => c.fallback_count())
-    }
-    fn in_fallback(&self) -> bool {
-        dispatch!(self, c => c.in_fallback())
     }
 }
 

@@ -233,9 +233,6 @@ impl CongestionController for Prague {
     fn fallback_count(&self) -> u64 {
         self.fallbacks
     }
-    fn in_fallback(&self) -> bool {
-        self.fallback
-    }
 
     fn on_ack(&mut self, p: &CcParams, newly: u64, _now_ns: u64) {
         if self.w.cwnd < self.w.ssthresh {
@@ -375,15 +372,15 @@ mod tests {
     fn sparse_marking_rounds_trigger_exactly_one_fallback() {
         let p = test_params();
         let mut pr = Prague::new(&p);
-        assert!(!pr.in_fallback());
+        assert!(!pr.fallback);
         // A classic-AQM episode: many consecutive rounds of sparse marking.
         for i in 0..20 {
             round(&mut pr, &p, 0.1);
             if i < DETECT_ROUNDS as usize - 1 {
-                assert!(!pr.in_fallback(), "needs {DETECT_ROUNDS} rounds");
+                assert!(!pr.fallback, "needs {DETECT_ROUNDS} rounds");
             }
         }
-        assert!(pr.in_fallback());
+        assert!(pr.fallback);
         assert_eq!(
             pr.fallback_count(),
             1,
@@ -398,18 +395,18 @@ mod tests {
         for _ in 0..DETECT_ROUNDS {
             round(&mut pr, &p, 0.1);
         }
-        assert!(pr.in_fallback());
+        assert!(pr.fallback);
         // Mark-free rounds end the episode.
         for _ in 0..CLEAR_ROUNDS {
             round(&mut pr, &p, 0.0);
         }
-        assert!(!pr.in_fallback(), "episode must end after clear rounds");
+        assert!(!pr.fallback, "episode must end after clear rounds");
         assert_eq!(pr.fallback_count(), 1);
         // A second classic episode is detected and counted separately.
         for _ in 0..DETECT_ROUNDS {
             round(&mut pr, &p, 0.15);
         }
-        assert!(pr.in_fallback());
+        assert!(pr.fallback);
         assert_eq!(pr.fallback_count(), 2);
     }
 
@@ -420,7 +417,7 @@ mod tests {
         for _ in 0..DETECT_ROUNDS {
             round(&mut pr, &p, 0.1);
         }
-        assert!(pr.in_fallback());
+        assert!(pr.fallback);
 
         // While fallen back, ECE gets the Reno response: cwnd drops to
         // exactly half (ssthresh = cwnd/2, cwnd = ssthresh).
@@ -435,7 +432,7 @@ mod tests {
         // CLEAR_ROUNDS - 1 mark-free rounds are not enough to recover...
         for i in 1..CLEAR_ROUNDS {
             round(&mut pr, &p, 0.0);
-            assert!(pr.in_fallback(), "recovered after only {i} clear rounds");
+            assert!(pr.fallback, "recovered after only {i} clear rounds");
         }
         // ...and a single sparse-marked round resets the streak, so the
         // next CLEAR_ROUNDS - 1 clear rounds still don't end the episode.
@@ -443,11 +440,11 @@ mod tests {
         for _ in 1..CLEAR_ROUNDS {
             round(&mut pr, &p, 0.0);
         }
-        assert!(pr.in_fallback(), "clear rounds must be consecutive");
+        assert!(pr.fallback, "clear rounds must be consecutive");
 
         // The CLEAR_ROUNDS-th consecutive mark-free round ends the episode.
         round(&mut pr, &p, 0.0);
-        assert!(!pr.in_fallback());
+        assert!(!pr.fallback);
         assert_eq!(pr.fallback_count(), 1, "recovery is not a new episode");
 
         // Recovered, the ECE response reverts to the alpha-proportional
@@ -478,7 +475,7 @@ mod tests {
             round(&mut pr, &p, 0.9);
             round(&mut pr, &p, 0.0);
         }
-        assert!(!pr.in_fallback());
+        assert!(!pr.fallback);
         assert_eq!(pr.fallback_count(), 0);
     }
 
@@ -498,10 +495,7 @@ mod tests {
                     round(&mut pr, &p, 0.0);
                 }
             }
-            assert!(
-                !pr.in_fallback(),
-                "needs {STALE_DETECT} stale rounds, had {i}"
-            );
+            assert!(!pr.fallback, "needs {STALE_DETECT} stale rounds, had {i}");
             // The timed packet carried a mark at well under half the floor:
             // the queue it was "marked in" had already drained. The marked
             // sample must NOT lower the floor, or the next stale sample
@@ -509,7 +503,7 @@ mod tests {
             pr.on_rtt_sample(&p, 400_000, 0, true);
             round(&mut pr, &p, 1.0);
         }
-        assert!(pr.in_fallback());
+        assert!(pr.fallback);
         assert_eq!(pr.fallback_count(), 1);
 
         // Marks at or above the clean floor are what a step AQM produces
@@ -521,7 +515,7 @@ mod tests {
             fresh.on_rtt_sample(&p, 90_000, 0, true);
             round(&mut fresh, &p, 1.0);
         }
-        assert!(!fresh.in_fallback());
+        assert!(!fresh.fallback);
         assert_eq!(fresh.fallback_count(), 0);
     }
 
@@ -537,7 +531,7 @@ mod tests {
             pr.on_rtt_sample(&p, 150_000, 0, true);
             round(&mut pr, &p, 0.15);
         }
-        assert!(!pr.in_fallback());
+        assert!(!pr.fallback);
         assert_eq!(pr.fallback_count(), 0);
     }
 
@@ -552,10 +546,10 @@ mod tests {
             pr.on_rtt_sample(&p, 600_000, 0, true);
             round(&mut pr, &p, 0.15);
             if i < DETECT_ROUNDS as usize - 1 {
-                assert!(!pr.in_fallback(), "needs {DETECT_ROUNDS} rounds");
+                assert!(!pr.fallback, "needs {DETECT_ROUNDS} rounds");
             }
         }
-        assert!(pr.in_fallback());
+        assert!(pr.fallback);
         assert_eq!(pr.fallback_count(), 1);
     }
 
@@ -574,7 +568,7 @@ mod tests {
             pr.on_rtt_sample(&p, 120_000, 0, true); // fresh mark, 8x under floor
             round(&mut pr, &p, 0.9);
         }
-        assert!(!pr.in_fallback());
+        assert!(!pr.fallback);
         assert_eq!(pr.fallback_count(), 0);
         // The inflation judgment is deferred the same way: sparse marks over
         // an immature (but non-empty) floor are not deep-queue evidence.
@@ -584,7 +578,7 @@ mod tests {
             sp.on_rtt_sample(&p, 600_000, 0, true);
             round(&mut sp, &p, 0.15);
         }
-        assert!(!sp.in_fallback());
+        assert!(!sp.fallback);
         assert_eq!(sp.fallback_count(), 0);
     }
 
@@ -598,14 +592,14 @@ mod tests {
         mature_floor(&mut pr, &p, 100_000);
         pr.on_loss(&p, 10 * p.mss as u64);
         round(&mut pr, &p, 0.1);
-        assert!(!pr.in_fallback(), "needs {COEXIST_DETECT} coexist rounds");
+        assert!(!pr.fallback, "needs {COEXIST_DETECT} coexist rounds");
         // Evidence never decays: clear rounds in between don't erase it.
         for _ in 0..2 * CLEAR_ROUNDS {
             round(&mut pr, &p, 0.0);
         }
         pr.on_rto(&p, 10 * p.mss as u64);
         round(&mut pr, &p, 0.2);
-        assert!(pr.in_fallback());
+        assert!(pr.fallback);
         assert_eq!(pr.fallback_count(), 1);
 
         // Loss without marks (droptail) and sparse shallow marks without

@@ -18,6 +18,18 @@
 //! run reproducible and lets a lint (`simlint` SL013) ban every other kind of
 //! inter-worker traffic.
 //!
+//! # Reports, not polling
+//!
+//! Shards tell the coordinator what it needs to pick the next window; it
+//! never asks. Each [`EpochWorker::run_window`] hands back its outbox and
+//! a [`EpochWorker::Report`] (for a network engine: the next event time,
+//! the next instant that needs serial handling, ...), and each
+//! [`EpochWorker::inject`] refreshes the receiving shard's report.
+//! [`CrewHandle::step`] leaves every shard's report in the caller's slice.
+//! A threaded round therefore takes each shard's lock at most three
+//! times: to post the window, to collect its outbox and report, and to
+//! deliver its inbox.
+//!
 //! # Determinism
 //!
 //! The exchange pins the merge order: each destination shard receives its
@@ -61,24 +73,26 @@ pub trait EpochWorker: Send {
     /// Cross-shard message payload.
     type Msg: Send;
 
-    /// Earliest pending local event, if any. The coordinator takes the
-    /// minimum over all shards when choosing the next window.
-    fn next_time(&self) -> Option<SimTime>;
+    /// What the shard tells the coordinator after a window or a delivery.
+    /// Reports are updated in place, never rebuilt, so a report holding
+    /// buffers reuses them from round to round.
+    type Report: Default + Send;
 
-    /// Process every local event with `t < end` (exclusive), buffering
-    /// cross-shard emissions in the worker's outbox. Events generated during
-    /// the window that land locally before `end` must be processed in the
-    /// same window.
-    fn run_window(&mut self, end: SimTime);
+    /// Process every local event with `t < end` (exclusive), then append
+    /// the cross-shard emissions to `outbox` in emission order and update
+    /// `report`. Events generated during the window that land locally
+    /// before `end` must be processed in the same window.
+    fn run_window(
+        &mut self,
+        end: SimTime,
+        outbox: &mut Vec<ShardMsg<Self::Msg>>,
+        report: &mut Self::Report,
+    );
 
-    /// Remove and return the buffered cross-shard emissions, in emission
-    /// order.
-    fn take_outbox(&mut self) -> Vec<ShardMsg<Self::Msg>>;
-
-    /// Deliver messages routed to this shard. The harness pre-sorts them by
-    /// `(at, key, origin, emission order)`; the worker schedules them in the
-    /// given order.
-    fn inject(&mut self, msgs: Vec<ShardMsg<Self::Msg>>);
+    /// Deliver messages routed to this shard, then update `report`. The
+    /// harness pre-sorts them by `(at, key, origin, emission order)`; the
+    /// worker schedules them in the given order.
+    fn inject(&mut self, msgs: std::vec::Drain<'_, ShardMsg<Self::Msg>>, report: &mut Self::Report);
 }
 
 enum Cmd {
@@ -87,20 +101,47 @@ enum Cmd {
     Exit,
 }
 
-struct SlotInner<W> {
+struct SlotInner<W: EpochWorker> {
     worker: W,
     cmd: Cmd,
+    /// What the last window produced, collected by the coordinator.
+    outbox: Vec<ShardMsg<W::Msg>>,
+    report: W::Report,
 }
 
 /// One worker's mailbox. The worker thread holds the lock for the entire
 /// window it is running, so "lock the slot" and "the shard is quiescent"
 /// coincide; the coordinator only locks between windows.
-struct Slot<W> {
+struct Slot<W: EpochWorker> {
     inner: Mutex<SlotInner<W>>,
     cv: Condvar,
 }
 
-enum Lanes<W> {
+impl<W: EpochWorker> Slot<W> {
+    fn post(&self, cmd: Cmd) {
+        self.inner.lock().expect("shard worker panicked").cmd = cmd;
+        self.cv.notify_all();
+    }
+
+    /// The worker thread: run each posted window until told to exit.
+    fn serve(&self) {
+        let mut g = self.inner.lock().expect("coordinator panicked");
+        loop {
+            match g.cmd {
+                Cmd::Idle => g = self.cv.wait(g).expect("coordinator panicked"),
+                Cmd::Run(end) => {
+                    let s = &mut *g;
+                    s.worker.run_window(end, &mut s.outbox, &mut s.report);
+                    s.cmd = Cmd::Idle;
+                    self.cv.notify_all();
+                }
+                Cmd::Exit => return,
+            }
+        }
+    }
+}
+
+enum Lanes<W: EpochWorker> {
     /// Single shard: run inline on the coordinator thread. No threads, no
     /// barriers — this is the `shards=1` arm the speedup gate measures
     /// against, and it must not pay synchronisation costs it does not need.
@@ -114,76 +155,73 @@ enum Lanes<W> {
 /// barriers.
 pub struct CrewHandle<W: EpochWorker> {
     lanes: Lanes<W>,
-    /// Scratch inboxes reused across exchanges, one per shard.
+    /// Scratch buffers reused across rounds: the gathered outboxes, and
+    /// one inbox per shard.
+    outbox: Vec<ShardMsg<W::Msg>>,
     inboxes: Vec<Vec<ShardMsg<W::Msg>>>,
 }
 
 impl<W: EpochWorker> CrewHandle<W> {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        match &self.lanes {
-            Lanes::Inline(ws) => ws.len(),
-            Lanes::Threaded(slots) => slots.len(),
-        }
+        self.inboxes.len()
     }
 
     /// Run one window on every shard (in parallel when threaded), wait for
     /// all of them, then exchange the buffered cross-shard messages.
-    pub fn step(&mut self, end: SimTime) {
+    /// `reports[s]` ends up holding shard `s`'s report, refreshed by the
+    /// window and again by a delivery, if it received one.
+    pub fn step(&mut self, end: SimTime, reports: &mut [W::Report]) {
+        let mut outbox = std::mem::take(&mut self.outbox);
         match &mut self.lanes {
             Lanes::Inline(ws) => {
-                for w in ws.iter_mut() {
-                    w.run_window(end);
+                for (w, report) in ws.iter_mut().zip(reports.iter_mut()) {
+                    w.run_window(end, &mut outbox, report);
                 }
             }
             Lanes::Threaded(slots) => {
                 for slot in slots.iter() {
-                    let mut g = slot.inner.lock().expect("shard worker panicked");
-                    g.cmd = Cmd::Run(end);
-                    drop(g);
-                    slot.cv.notify_all();
+                    slot.post(Cmd::Run(end));
                 }
-                for slot in slots.iter() {
+                // Ascending shard order keeps the gathered outbox in the
+                // deterministic order `route` requires.
+                for (slot, report) in slots.iter().zip(reports.iter_mut()) {
                     let mut g = slot.inner.lock().expect("shard worker panicked");
                     while matches!(g.cmd, Cmd::Run(_)) {
                         g = slot.cv.wait(g).expect("shard worker panicked");
                     }
+                    outbox.append(&mut g.outbox);
+                    std::mem::swap(&mut g.report, report);
                 }
             }
         }
-        let mut all = Vec::new();
-        let n = self.num_shards();
-        for s in 0..n {
-            let mut msgs = self.with_worker(s, |w| w.take_outbox());
-            all.append(&mut msgs);
-        }
-        self.route(all);
+        self.route(&mut outbox, reports);
+        self.outbox = outbox;
     }
 
-    /// The blessed cross-shard exchange: group `msgs` by destination shard,
-    /// sort each inbox by `(at, key)` — the sort is stable, so ties keep the
-    /// (origin shard, emission order) of `msgs` — and deliver via
-    /// [`EpochWorker::inject`].
+    /// The blessed cross-shard exchange: drain `msgs` into per-destination
+    /// inboxes, sort each by `(at, key)` — the sort is stable, so ties keep
+    /// the (origin shard, emission order) of `msgs` — and deliver each via
+    /// [`EpochWorker::inject`], which updates that shard's `reports` entry.
     ///
     /// Callers must pass messages in deterministic order (ascending origin
     /// shard, emission order within a shard); [`CrewHandle::step`] does.
-    pub fn route(&mut self, msgs: Vec<ShardMsg<W::Msg>>) {
-        if msgs.is_empty() {
-            return;
-        }
+    pub fn route(&mut self, msgs: &mut Vec<ShardMsg<W::Msg>>, reports: &mut [W::Report]) {
         let n = self.num_shards();
-        for m in msgs {
+        assert_eq!(reports.len(), n, "one report per shard");
+        for m in msgs.drain(..) {
             let d = m.dest as usize;
             assert!(d < n, "message routed to unknown shard {d}");
             self.inboxes[d].push(m);
         }
-        for s in 0..n {
+        for (s, report) in reports.iter_mut().enumerate() {
             if self.inboxes[s].is_empty() {
                 continue;
             }
             let mut inbox = std::mem::take(&mut self.inboxes[s]);
             inbox.sort_by_key(|a| (a.at, a.key));
-            self.with_worker(s, |w| w.inject(inbox));
+            self.with_worker(s, |w| w.inject(inbox.drain(..), report));
+            self.inboxes[s] = inbox;
         }
     }
 
@@ -207,18 +245,6 @@ impl<W: EpochWorker> CrewHandle<W> {
             self.with_worker(s, |w| f(s, w));
         }
     }
-
-    /// Minimum pending local event time across all shards.
-    pub fn min_next_time(&mut self) -> Option<SimTime> {
-        let mut min = None;
-        self.for_each_worker(|_, w| {
-            min = match (min, w.next_time()) {
-                (Some(a), Some(b)) => Some(SimTime::min(a, b)),
-                (a, b) => a.or(b),
-            };
-        });
-        min
-    }
 }
 
 /// Spawn one persistent thread per worker (none for a single shard), hand the
@@ -231,104 +257,58 @@ pub fn run_crew<W: EpochWorker, R>(
 ) -> (Vec<W>, R) {
     let n = workers.len();
     assert!(n >= 1, "a crew needs at least one worker");
-    let inboxes = (0..n).map(|_| Vec::new()).collect();
-    if n == 1 {
-        let mut handle = CrewHandle {
-            lanes: Lanes::Inline(workers),
-            inboxes,
+    let (lanes, r) = std::thread::scope(|scope| {
+        let lanes = if n == 1 {
+            Lanes::Inline(workers)
+        } else {
+            let spawn = |(i, worker)| {
+                let slot = Arc::new(Slot {
+                    inner: Mutex::new(SlotInner {
+                        worker,
+                        cmd: Cmd::Idle,
+                        outbox: Vec::new(),
+                        report: W::Report::default(),
+                    }),
+                    cv: Condvar::new(),
+                });
+                let served = Arc::clone(&slot);
+                std::thread::Builder::new()
+                    .name(format!("simshard-{i}"))
+                    .spawn_scoped(scope, move || served.serve())
+                    .expect("spawn shard worker");
+                slot
+            };
+            Lanes::Threaded(workers.into_iter().enumerate().map(spawn).collect())
         };
-        let r = f(&mut handle);
-        let Lanes::Inline(ws) = handle.lanes else {
-            unreachable!()
+        let mut crew = CrewHandle {
+            lanes,
+            outbox: Vec::new(),
+            inboxes: (0..n).map(|_| Vec::new()).collect(),
         };
-        return (ws, r);
-    }
-
-    let slots: Vec<Arc<Slot<W>>> = workers
-        .into_iter()
-        .map(|worker| {
-            Arc::new(Slot {
-                inner: Mutex::new(SlotInner {
-                    worker,
-                    cmd: Cmd::Idle,
-                }),
-                cv: Condvar::new(),
-            })
-        })
-        .collect();
-
-    std::thread::scope(|scope| {
-        for (i, slot) in slots.iter().enumerate() {
-            let slot = Arc::clone(slot);
-            std::thread::Builder::new()
-                .name(format!("simshard-{i}"))
-                .spawn_scoped(scope, move || {
-                    let mut g = slot.inner.lock().expect("coordinator panicked");
-                    loop {
-                        match g.cmd {
-                            Cmd::Idle => {
-                                g = slot.cv.wait(g).expect("coordinator panicked");
-                            }
-                            Cmd::Run(end) => {
-                                // The lock is held for the whole window: a
-                                // quiescent shard and an unlocked slot are
-                                // the same thing.
-                                g.worker.run_window(end);
-                                g.cmd = Cmd::Idle;
-                                slot.cv.notify_all();
-                            }
-                            Cmd::Exit => break,
-                        }
-                    }
-                })
-                .expect("spawn shard worker");
-        }
-
-        let mut handle = CrewHandle {
-            lanes: Lanes::Threaded(slots),
-            inboxes,
-        };
-        let r = f(&mut handle);
-
-        let Lanes::Threaded(slots) = handle.lanes else {
-            unreachable!()
-        };
-        for slot in &slots {
-            let mut g = slot.inner.lock().expect("shard worker panicked");
-            g.cmd = Cmd::Exit;
-            drop(g);
-            slot.cv.notify_all();
-        }
-        // scope joins the worker threads here.
-        (unwrap_slots(slots), r)
-    })
-}
-
-fn unwrap_slots<W>(slots: Vec<Arc<Slot<W>>>) -> Vec<W> {
-    slots
-        .into_iter()
-        .map(|slot| {
-            // All worker threads have exited (or are exiting; spin the Arc
-            // down). scope() joining before run_crew returns guarantees the
-            // refcount drops to 1.
-            let mut slot = Some(slot);
-            loop {
-                match Arc::try_unwrap(slot.take().expect("slot taken twice")) {
-                    Ok(s) => {
-                        return s
-                            .inner
-                            .into_inner()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .worker
-                    }
-                    Err(arc) => {
-                        slot = Some(arc);
-                        std::thread::yield_now();
-                    }
-                }
+        let r = f(&mut crew);
+        if let Lanes::Threaded(slots) = &crew.lanes {
+            for slot in slots {
+                slot.post(Cmd::Exit);
             }
-        })
-        .collect()
+        }
+        (crew.lanes, r)
+    });
+    let workers = match lanes {
+        Lanes::Inline(ws) => ws,
+        // The scope has joined every worker thread, so each slot's last
+        // reference is this one.
+        Lanes::Threaded(slots) => slots
+            .into_iter()
+            .map(|slot| {
+                let slot = Arc::into_inner(slot).expect("worker threads are joined");
+                slot.inner
+                    .into_inner()
+                    .expect("shard worker panicked")
+                    .worker
+            })
+            .collect(),
+    };
+    (workers, r)
 }
 
 #[cfg(test)]
@@ -353,6 +333,9 @@ mod tests {
         queue: BTreeMap<(SimTime, u64), u64>,
         chains: BTreeMap<u64, u64>,
         outbox: Vec<ShardMsg<(u64, u64)>>,
+        /// Calls of `run_window` and `inject` so far.
+        windows: u32,
+        injects: u32,
     }
 
     fn owner(counter: u64, n_shards: u32, n_counters: u64) -> u32 {
@@ -360,6 +343,10 @@ mod tests {
     }
 
     impl Toy {
+        fn next_time(&self) -> Option<SimTime> {
+            self.queue.keys().next().map(|&(t, _)| t)
+        }
+
         fn process(&mut self, at: SimTime, key: u64, value: u64) {
             let dest_counter = key >> 16;
             let chain = self.chains.entry(dest_counter).or_insert(0xcbf2_9ce4);
@@ -390,12 +377,16 @@ mod tests {
 
     impl EpochWorker for Toy {
         type Msg = (u64, u64);
+        /// The shard's next event time.
+        type Report = Option<SimTime>;
 
-        fn next_time(&self) -> Option<SimTime> {
-            self.queue.keys().next().map(|&(t, _)| t)
-        }
-
-        fn run_window(&mut self, end: SimTime) {
+        fn run_window(
+            &mut self,
+            end: SimTime,
+            outbox: &mut Vec<ShardMsg<(u64, u64)>>,
+            report: &mut Option<SimTime>,
+        ) {
+            self.windows += 1;
             while let Some((&(t, key), _)) = self.queue.iter().next() {
                 if t >= end {
                     break;
@@ -403,21 +394,29 @@ mod tests {
                 let value = self.queue.remove(&(t, key)).unwrap();
                 self.process(t, key, value);
             }
+            outbox.append(&mut self.outbox);
+            *report = self.next_time();
         }
 
-        fn take_outbox(&mut self) -> Vec<ShardMsg<(u64, u64)>> {
-            std::mem::take(&mut self.outbox)
-        }
-
-        fn inject(&mut self, msgs: Vec<ShardMsg<(u64, u64)>>) {
+        fn inject(
+            &mut self,
+            msgs: std::vec::Drain<'_, ShardMsg<(u64, u64)>>,
+            report: &mut Option<SimTime>,
+        ) {
+            self.injects += 1;
             for m in msgs {
                 let (key, value) = m.payload;
                 self.queue.insert((m.at, key), value);
             }
+            *report = self.next_time();
         }
     }
 
-    fn run_toy(n_shards: u32) -> BTreeMap<u64, u64> {
+    /// Run the toy model to completion and return its digest and the
+    /// number of deliveries. Every step is checked to call each shard's
+    /// `run_window` exactly once and its `inject` at most once; the trait
+    /// has no other method the harness could call.
+    fn run_toy(n_shards: u32) -> (BTreeMap<u64, u64>, u32) {
         const COUNTERS: u64 = 16;
         let lookahead = SimDuration::from_micros(5);
         let mut workers: Vec<Toy> = (0..n_shards)
@@ -429,6 +428,8 @@ mod tests {
                 queue: BTreeMap::new(),
                 chains: BTreeMap::new(),
                 outbox: Vec::new(),
+                windows: 0,
+                injects: 0,
             })
             .collect();
         // Seed every counter with a burst at t=0 (distinct keys).
@@ -436,11 +437,23 @@ mod tests {
             let s = owner(c, n_shards, COUNTERS) as usize;
             workers[s].queue.insert((SimTime::ZERO, c << 16), 40 + c);
         }
+        let mut reports: Vec<Option<SimTime>> = workers.iter().map(Toy::next_time).collect();
         let (workers, ()) = run_crew(workers, |crew| {
-            while let Some(t) = crew.min_next_time() {
-                crew.step(t + lookahead);
+            let mut before = vec![(0, 0); n_shards as usize];
+            while let Some(t) = reports.iter().flatten().min().copied() {
+                crew.step(t + lookahead, &mut reports);
+                crew.for_each_worker(|s, w| {
+                    let (windows, injects) = before[s];
+                    assert_eq!(w.windows, windows + 1, "shard {s}: one window per step");
+                    assert!(
+                        w.injects <= injects + 1,
+                        "shard {s}: two deliveries in a step"
+                    );
+                    before[s] = (w.windows, w.injects);
+                });
             }
         });
+        let injects = workers.iter().map(|w| w.injects).sum();
         let mut merged = BTreeMap::new();
         for w in workers {
             for (c, chain) in w.chains {
@@ -448,15 +461,28 @@ mod tests {
                 assert!(merged.insert(c, chain).is_none());
             }
         }
-        merged
+        (merged, injects)
     }
 
     #[test]
     fn toy_model_is_shard_count_invariant() {
-        let one = run_toy(1);
+        let (one, _) = run_toy(1);
         assert!(!one.is_empty());
         for n in [2, 3, 4] {
-            assert_eq!(run_toy(n), one, "digest diverged at {n} shards");
+            assert_eq!(run_toy(n).0, one, "digest diverged at {n} shards");
+        }
+    }
+
+    #[test]
+    fn one_step_is_one_handoff_per_shard() {
+        // `run_toy` checks the per-step call counts; here the threaded
+        // crews must also have delivered messages, so `inject` was reached.
+        let (one, injects) = run_toy(1);
+        assert_eq!(injects, 0, "one shard has nothing to deliver");
+        for n in [2, 4] {
+            let (digest, injects) = run_toy(n);
+            assert_eq!(digest, one, "digest diverged at {n} shards");
+            assert!(injects > 0, "{n} shards delivered nothing");
         }
     }
 
@@ -467,16 +493,10 @@ mod tests {
         }
         impl EpochWorker for Rec {
             type Msg = u64;
-            fn next_time(&self) -> Option<SimTime> {
-                None
-            }
-            fn run_window(&mut self, _end: SimTime) {}
-            fn take_outbox(&mut self) -> Vec<ShardMsg<u64>> {
-                Vec::new()
-            }
-            fn inject(&mut self, msgs: Vec<ShardMsg<u64>>) {
-                self.got
-                    .extend(msgs.into_iter().map(|m| (m.at, m.key, m.payload)));
+            type Report = ();
+            fn run_window(&mut self, _: SimTime, _: &mut Vec<ShardMsg<u64>>, _: &mut ()) {}
+            fn inject(&mut self, msgs: std::vec::Drain<'_, ShardMsg<u64>>, _: &mut ()) {
+                self.got.extend(msgs.map(|m| (m.at, m.key, m.payload)));
             }
         }
         let t = SimTime::from_micros;
@@ -487,13 +507,15 @@ mod tests {
             payload,
         };
         let (workers, ()) = run_crew(vec![Rec { got: Vec::new() }], |crew| {
-            crew.route(vec![
+            let mut msgs = vec![
                 msg(t(2), 5, 0),
                 msg(t(1), 9, 1),
                 msg(t(1), 2, 2),
                 msg(t(1), 2, 3), // tie with previous: emission order wins
                 msg(t(2), 1, 4),
-            ]);
+            ];
+            crew.route(&mut msgs, &mut [()]);
+            assert!(msgs.is_empty(), "route drains its input");
         });
         assert_eq!(
             workers[0].got,
@@ -511,7 +533,7 @@ mod tests {
     fn threaded_crew_runs_windows_and_exchanges() {
         // 4 shards forces the threaded lanes; the invariance test above
         // already compares its digest against the inline single-shard run.
-        let digest = run_toy(4);
+        let (digest, _) = run_toy(4);
         assert_eq!(digest.len(), 16);
     }
 }

@@ -82,11 +82,6 @@ impl IntervalSet {
         self.map.iter().next_back().map(|(_, &e)| e)
     }
 
-    /// Total covered length.
-    pub fn covered_len(&self) -> u64 {
-        self.map.iter().map(|(s, e)| e - s).sum()
-    }
-
     /// Number of disjoint intervals.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -107,6 +102,10 @@ impl IntervalSet {
 mod tests {
     use super::*;
 
+    fn intervals(s: &IntervalSet) -> Vec<(u64, u64)> {
+        s.map.iter().map(|(&a, &b)| (a, b)).collect()
+    }
+
     #[test]
     fn insert_merges_overlaps_and_adjacency() {
         let mut s = IntervalSet::new();
@@ -114,11 +113,11 @@ mod tests {
         s.insert(30, 40);
         assert_eq!(s.len(), 2);
         s.insert(20, 30); // bridges
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.covered_len(), 30);
+        assert_eq!(intervals(&s), [(10, 40)]);
         s.insert(5, 12); // overlap left
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.covered_len(), 35);
+        assert_eq!(intervals(&s), [(5, 40)]);
+        s.insert(38, 45); // overlap right
+        assert_eq!(intervals(&s), [(5, 45)]);
     }
 
     #[test]
@@ -175,7 +174,7 @@ mod tests {
         s.prune_below(15);
         assert!(!s.contains(10));
         assert!(s.contains(15) && s.contains(19));
-        assert_eq!(s.covered_len(), 15);
+        assert_eq!(intervals(&s), [(15, 20), (30, 40)]);
         s.prune_below(100);
         assert!(s.is_empty());
     }
@@ -195,6 +194,6 @@ mod tests {
         s.insert(1, 5);
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(s.covered_len(), 0);
+        assert_eq!(intervals(&s), []);
     }
 }
