@@ -11,7 +11,8 @@
 //!
 //! Usage: `cc_matrix [--seed N]`
 
-use experiments::cc_matrix::{cc_claims, check_cc_claims, render_cc_matrix, run_cc_matrix};
+use experiments::cc_matrix::{cc_claims, render_cc_matrix, run_cc_matrix};
+use experiments::claim;
 use experiments::report::write_json;
 use std::path::Path;
 
@@ -24,20 +25,5 @@ fn main() {
 
     let c = cc_claims(&res);
     let _ = write_json(&c, Path::new("results/cc_claims.json"));
-    println!(
-        "prague fallbacks: red-mimic={} simple-marking={} dualq={}",
-        c.prague_fallbacks_red_mimic, c.prague_fallbacks_simple_marking, c.prague_fallbacks_dualq
-    );
-    let failures = check_cc_claims(&c);
-    if !failures.is_empty() {
-        eprintln!(
-            "[cc_matrix] {} controller claim gate(s) FAILED:",
-            failures.len()
-        );
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("all controller claim gates passed");
+    claim::exit_on_failures("cc_matrix", &c);
 }

@@ -1,7 +1,7 @@
 //! Reproduce Figure 2: Hadoop runtime vs RED target delay, shallow (2a) and
 //! deep (2b) buffers, normalised to DropTail with shallow buffers.
 //!
-//! Usage: `fig2_runtime [--tiny] [--fresh]`
+//! Usage: `fig2_runtime [--tiny] [--seed N] [--jobs N] [--no-cache]`
 
 use experiments::cli::sweep_from_args;
 use experiments::figures::fig2;

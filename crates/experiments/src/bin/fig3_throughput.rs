@@ -1,7 +1,7 @@
 //! Reproduce Figure 3: cluster throughput (mean goodput per node) vs RED
 //! target delay, shallow (3a) and deep (3b), normalised to DropTail shallow.
 //!
-//! Usage: `fig3_throughput [--tiny] [--fresh]`
+//! Usage: `fig3_throughput [--tiny] [--seed N] [--jobs N] [--no-cache]`
 
 use experiments::cli::sweep_from_args;
 use experiments::figures::fig3;

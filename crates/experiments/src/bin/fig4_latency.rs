@@ -1,7 +1,7 @@
 //! Reproduce Figure 4: mean per-packet network latency vs RED target delay,
 //! shallow (4a) and deep (4b), normalised to DropTail of the same depth.
 //!
-//! Usage: `fig4_latency [--tiny] [--fresh]`
+//! Usage: `fig4_latency [--tiny] [--seed N] [--jobs N] [--no-cache]`
 
 use experiments::cli::sweep_from_args;
 use experiments::figures::fig4;

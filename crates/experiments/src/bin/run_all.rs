@@ -1,16 +1,15 @@
 //! Regenerate EVERYTHING: Tables I–II, Figure 1, Figures 2–4 (both panels
 //! each) and the headline-claims table, writing raw data under `results/`.
 //!
-//! Usage: `run_all [--tiny] [--fresh] [--seed N]`
+//! Usage: `run_all [--tiny] [--seed N] [--jobs N] [--no-cache]`
 
-use experiments::cc_matrix::{cc_claims, check_cc_claims, render_cc_matrix, run_cc_matrix};
-use experiments::claims::{check_claims, claims, render_claims};
+use experiments::cc_matrix::{cc_claims, render_cc_matrix, run_cc_matrix};
+use experiments::claim;
+use experiments::claims::{claims, render_claims};
 use experiments::cli::sweep_from_args;
 use experiments::figures::{fig1, fig2, fig3, fig4, table1, table2};
 use experiments::report::{render_panel, write_json};
-use experiments::tiny_buffer::{
-    check_tiny_buffer_claims, render_tiny_buffer, run_tiny_buffer, tiny_buffer_claims,
-};
+use experiments::tiny_buffer::{render_tiny_buffer, run_tiny_buffer, tiny_buffer_claims};
 use simevent::SimDuration;
 use std::path::Path;
 
@@ -74,15 +73,5 @@ fn main() {
     let c = claims(&res);
     println!("{}", render_claims(&c));
     let _ = write_json(&c, Path::new("results/claims.json"));
-    let mut failures = check_claims(&c);
-    failures.extend(check_cc_claims(&cc));
-    failures.extend(check_tiny_buffer_claims(&tbc));
-    if !failures.is_empty() {
-        eprintln!("[run_all] {} claim check(s) FAILED:", failures.len());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("all claim gates passed");
+    claim::exit_on_failures("run_all", &[c, cc, tbc].concat());
 }

@@ -11,11 +11,10 @@
 //!
 //! Usage: `tiny_buffer [--seed N] [--out PATH]`
 
+use experiments::claim;
 use experiments::cli::split_flag_values;
 use experiments::report::write_json;
-use experiments::tiny_buffer::{
-    check_tiny_buffer_claims, render_tiny_buffer, run_tiny_buffer, tiny_buffer_claims,
-};
+use experiments::tiny_buffer::{render_tiny_buffer, run_tiny_buffer, tiny_buffer_claims};
 use std::path::PathBuf;
 
 fn main() {
@@ -45,23 +44,5 @@ fn main() {
 
     let c = tiny_buffer_claims(&res);
     let _ = write_json(&c, out.with_file_name("tiny_buffer_claims.json").as_path());
-    for (fam, r) in &c.protection_ratios {
-        println!("protection goodput ratio [{fam}]: {r:.3}");
-    }
-    println!(
-        "ack early-drops: default={} ack+syn={}",
-        c.default_ack_drops, c.protected_ack_drops
-    );
-    let failures = check_tiny_buffer_claims(&c);
-    if !failures.is_empty() {
-        eprintln!(
-            "[tiny_buffer] {} tiny-buffer claim gate(s) FAILED:",
-            failures.len()
-        );
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("all tiny-buffer claim gates passed");
+    claim::exit_on_failures("tiny_buffer", &c);
 }

@@ -24,67 +24,22 @@
 //!
 //! Usage: `workloads [--tiny] [--seed N] [--jobs N] [--no-cache]`
 
-use ecn_core::{ProtectionMode, QdiscSpec, RedConfig, SimpleMarkingConfig};
+use experiments::claim;
 use experiments::cli::cli_args;
 use experiments::report::write_json;
 use experiments::scenario::{ScenarioConfig, Transport};
 use experiments::simsweep;
+use experiments::workloads::{workload_claims, QueueResult, WlQueue, QUEUES};
 use netpacket::{NodeId, PacketKind};
 use netsim::{ClusterSpec, LinkSpec, Network, Simulation};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simevent::{SimDuration, SimTime};
-use simmetrics::{FctSummary, IdealFct};
+use simmetrics::IdealFct;
 use std::path::Path;
 use tcpstack::TcpConfig;
 use workload::{
-    CoflowSummary, Incast, IncastConfig, Mixed, MixedConfig, Rpc, RpcConfig, RpcSummary, SizeDist,
-    TrafficModel, WorkloadApp,
+    Incast, IncastConfig, Mixed, MixedConfig, Rpc, RpcConfig, SizeDist, TrafficModel, WorkloadApp,
 };
-
-/// The switch configurations every workload is swept across. `Mimic` is the
-/// DCTCP paper's RED parametrisation (`min_th == max_th == K`,
-/// instantaneous queue) — the scheme this paper shows early-drops every
-/// non-ECT packet above K unless protected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WlQueue {
-    DropTail,
-    Mimic(ProtectionMode),
-    SimpleMarking,
-}
-
-impl WlQueue {
-    fn label(self) -> String {
-        match self {
-            WlQueue::DropTail => "droptail".into(),
-            WlQueue::Mimic(m) => format!("mimic[{}]", m.label()),
-            WlQueue::SimpleMarking => "simple-marking".into(),
-        }
-    }
-
-    fn qdisc(self, cfg: &ScenarioConfig, target: SimDuration) -> QdiscSpec {
-        let cap = cfg.shallow_packets;
-        let rate = cfg.host_link.rate_bps;
-        let mean = cfg.mean_packet_bytes;
-        match self {
-            WlQueue::DropTail => QdiscSpec::DropTail {
-                capacity_packets: cap,
-            },
-            WlQueue::Mimic(mode) => {
-                QdiscSpec::Red(RedConfig::dctcp_mimic(target, rate, mean, cap, mode))
-            }
-            WlQueue::SimpleMarking => QdiscSpec::SimpleMarking(
-                SimpleMarkingConfig::from_target_delay(target, rate, mean, cap),
-            ),
-        }
-    }
-}
-
-const QUEUES: [WlQueue; 4] = [
-    WlQueue::DropTail,
-    WlQueue::Mimic(ProtectionMode::Default),
-    WlQueue::Mimic(ProtectionMode::AckSyn),
-    WlQueue::SimpleMarking,
-];
 
 fn queue_from_label(label: &str) -> WlQueue {
     QUEUES
@@ -132,64 +87,12 @@ fn point_keys(cfg: &ScenarioConfig, sz: &WorkloadSizes) -> Vec<WlKey> {
     keys
 }
 
-/// One workload under one switch configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct QueueResult {
-    queue: String,
-    /// Whether every flow completed inside the time limit.
-    completed: bool,
-    /// Delivered application bytes over the run's simulated span, bits/s.
-    goodput_bps: f64,
-    /// Simulated end of the run, seconds.
-    end_time_s: f64,
-    fct: FctSummary,
-    coflows: CoflowSummary,
-    /// Only for the RPC workload: request-latency/SLO accounting
-    /// (`null` for the others).
-    rpc: Option<RpcSummary>,
-    /// Pure ACKs early-dropped at switch queues.
-    acks_early_dropped: u64,
-    /// SYN / SYN-ACKs early-dropped at switch queues.
-    handshake_early_dropped: u64,
-    /// Data packets CE-marked.
-    data_marked: u64,
-    /// Sender retransmission timeouts.
-    timeouts: u64,
-    /// SYN retransmissions (each one cost a 1 s connection-setup RTO).
-    syn_retransmits: u64,
-}
-
 #[derive(Debug, Clone, Serialize)]
 struct WorkloadReport {
     workload: String,
     seed: u64,
     hosts: u32,
     configs: Vec<QueueResult>,
-}
-
-/// The headline checks: the paper's non-ECT pathology must be visible in
-/// every workload, and both fixes must erase it.
-#[derive(Debug, Clone, Serialize)]
-struct WorkloadClaims {
-    /// Incast goodput under unprotected RED-mimic over ACK+SYN protection
-    /// (expected well below 1: dropped SYNs serialise rounds on 1 s RTOs).
-    incast_collapse_vs_protected: f64,
-    /// Incast goodput under ACK+SYN protection over DropTail (expected ≈ 1:
-    /// the fix restores full throughput).
-    incast_protected_vs_droptail: f64,
-    /// Incast goodput under true simple marking over ACK+SYN protection
-    /// (expected ≈ 1: the marking scheme needs no protection heuristic).
-    incast_marking_vs_protected: f64,
-    /// ACKs early-dropped in the mixed workload under unprotected RED-mimic
-    /// (expected > 0: elephants' ACKs cross loaded reverse-path ports).
-    mixed_ack_drops_unprotected: u64,
-    /// ...and under ACK+SYN protection plus simple marking (expected 0).
-    mixed_ack_drops_protected: u64,
-    /// RPC SLO violations under unprotected RED-mimic (expected > the
-    /// protected count: response-flow SYNs die at the loaded client port).
-    rpc_slo_violations_unprotected: u64,
-    /// RPC SLO violations under ACK+SYN protection.
-    rpc_slo_violations_protected: u64,
 }
 
 struct WorkloadSizes {
@@ -360,125 +263,33 @@ fn main() {
         stats.executed, stats.cached
     );
 
-    let mut reports = Vec::new();
-    for (wl, title) in [
+    let [incast, mixed, rpc] = [
         ("incast", "partition-aggregate incast"),
         ("mixed", "permutation elephants + poisson mice"),
         ("rpc", "closed-loop RPC"),
-    ] {
+    ]
+    .map(|(wl, title)| {
         print_header(title);
-        let configs: Vec<QueueResult> = results.drain(..QUEUES.len()).collect();
-        for r in &configs {
-            print_row(r);
-        }
         let report = WorkloadReport {
             workload: wl.into(),
             seed: cfg.seed,
             hosts: sz.hosts,
-            configs,
+            configs: results.drain(..QUEUES.len()).collect(),
         };
+        for r in &report.configs {
+            print_row(r);
+        }
         let path = Path::new("results").join(format!("workloads_{wl}{suffix}.json"));
         if write_json(&report, &path).is_ok() {
             eprintln!("[workloads] wrote {}", path.display());
         }
-        reports.push(report);
-    }
-    let rpc_report = reports.pop().expect("rpc report");
-    let mixed_report = reports.pop().expect("mixed report");
-    let incast_report = reports.pop().expect("incast report");
-
-    // Claim checks.
-    let by_queue = |rs: &[QueueResult], q: WlQueue| -> QueueResult {
-        rs.iter()
-            .find(|r| r.queue == q.label())
-            .expect("queue present in sweep")
-            .clone()
-    };
-    let unprotected = WlQueue::Mimic(ProtectionMode::Default);
-    let protected = WlQueue::Mimic(ProtectionMode::AckSyn);
-    let inc_unprot = by_queue(&incast_report.configs, unprotected);
-    let inc_prot = by_queue(&incast_report.configs, protected);
-    let inc_drop = by_queue(&incast_report.configs, WlQueue::DropTail);
-    let inc_mark = by_queue(&incast_report.configs, WlQueue::SimpleMarking);
-    let mix_unprot = by_queue(&mixed_report.configs, unprotected);
-    let mix_prot = by_queue(&mixed_report.configs, protected);
-    let mix_mark = by_queue(&mixed_report.configs, WlQueue::SimpleMarking);
-    let rpc_unprot = by_queue(&rpc_report.configs, unprotected);
-    let rpc_prot = by_queue(&rpc_report.configs, protected);
-
-    let claims = WorkloadClaims {
-        incast_collapse_vs_protected: inc_unprot.goodput_bps / inc_prot.goodput_bps,
-        incast_protected_vs_droptail: inc_prot.goodput_bps / inc_drop.goodput_bps,
-        incast_marking_vs_protected: inc_mark.goodput_bps / inc_prot.goodput_bps,
-        mixed_ack_drops_unprotected: mix_unprot.acks_early_dropped,
-        mixed_ack_drops_protected: mix_prot.acks_early_dropped + mix_mark.acks_early_dropped,
-        rpc_slo_violations_unprotected: rpc_unprot.rpc.as_ref().map_or(0, |s| s.slo_violations),
-        rpc_slo_violations_protected: rpc_prot.rpc.as_ref().map_or(0, |s| s.slo_violations),
-    };
-
-    println!("\n== claim checks ==");
-    let mut failed: Vec<String> = Vec::new();
-    let mut check = |name: &str, pass: bool, detail: String| {
-        println!(
-            "  [{}] {name}: {detail}",
-            if pass { "PASS" } else { "FAIL" }
-        );
-        if !pass {
-            failed.push(name.into());
-        }
-    };
-    check(
-        "incast goodput collapses without protection",
-        claims.incast_collapse_vs_protected < 0.75,
-        format!(
-            "red[default] / red[ack+syn] = {:.3}",
-            claims.incast_collapse_vs_protected
-        ),
-    );
-    check(
-        "ACK+SYN protection restores DropTail goodput",
-        claims.incast_protected_vs_droptail > 0.9,
-        format!(
-            "red[ack+syn] / droptail = {:.3}",
-            claims.incast_protected_vs_droptail
-        ),
-    );
-    check(
-        "simple marking needs no protection heuristic",
-        claims.incast_marking_vs_protected > 0.9,
-        format!(
-            "simple-marking / red[ack+syn] = {:.3}",
-            claims.incast_marking_vs_protected
-        ),
-    );
-    check(
-        "mixed load early-drops ACKs only when unprotected",
-        claims.mixed_ack_drops_unprotected > 0 && claims.mixed_ack_drops_protected == 0,
-        format!(
-            "unprotected {} vs protected {}",
-            claims.mixed_ack_drops_unprotected, claims.mixed_ack_drops_protected
-        ),
-    );
-    check(
-        "unprotected marking inflates RPC SLO violations",
-        claims.rpc_slo_violations_unprotected > claims.rpc_slo_violations_protected,
-        format!(
-            "unprotected {} vs protected {}",
-            claims.rpc_slo_violations_unprotected, claims.rpc_slo_violations_protected
-        ),
-    );
-
+        report.configs
+    });
+    let claims = workload_claims(&incast, &mixed, &rpc);
     let path = Path::new("results").join(format!("workloads_claims{suffix}.json"));
     if write_json(&claims, &path).is_ok() {
         eprintln!("[workloads] wrote {}", path.display());
     }
-
-    if !failed.is_empty() {
-        eprintln!(
-            "[workloads] {} claim check(s) FAILED: {}",
-            failed.len(),
-            failed.join("; ")
-        );
-        std::process::exit(1);
-    }
+    println!();
+    claim::exit_on_failures("workloads", &claims);
 }

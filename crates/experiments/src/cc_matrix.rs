@@ -6,8 +6,9 @@
 //! story (ACK early-drops starve the shuffle; protection or a true marking
 //! scheme fixes it) was told through Reno and DCTCP, and the matrix checks
 //! which parts survive a modern stack — CUBIC, BBR, and TCP Prague with its
-//! classic-ECN-AQM fallback detector (see [`check_cc_claims`]).
+//! classic-ECN-AQM fallback detector (see [`cc_claims`]).
 
+use crate::claim::{Bound, Claim};
 use crate::scenario::{
     run_scenario, BufferDepth, QueueKind, RunMetrics, ScenarioConfig, Transport,
 };
@@ -111,32 +112,6 @@ pub fn run_cc_matrix(cfg: &ScenarioConfig) -> CcMatrixResults {
     CcMatrixResults { points }
 }
 
-/// Controller-dimension headline numbers, distilled from the matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CcClaimsReport {
-    /// CUBIC goodput under RED\[ack+syn\] relative to CUBIC under stock
-    /// RED\[default\] — the protection rescue, same controller, same AQM
-    /// family (expected well above 1: stock RED early-drops the ACK clock).
-    pub cubic_protection_rescue: f64,
-    /// CUBIC goodput under RED\[ack+syn\], normalised to CUBIC on DropTail —
-    /// protection must rescue the incast goodput (expected ≥ 1).
-    pub cubic_ack_syn_vs_droptail: f64,
-    /// BBR goodput under RED\[ack+syn\] vs BBR on DropTail — the fix must
-    /// generalise to a rate-based controller too.
-    pub bbr_ack_syn_vs_droptail: f64,
-    /// Classic-ECN-AQM fallback episodes Prague detected against the RED
-    /// mimic (a classic AQM wearing a step-marking costume; expected > 0).
-    pub prague_fallbacks_red_mimic: u64,
-    /// Fallback episodes against the true simple marking scheme (a genuine
-    /// step AQM; the detector must stay silent, expected 0).
-    pub prague_fallbacks_simple_marking: u64,
-    /// Fallback episodes against the L4S DualQ coupled AQM — the queue
-    /// Prague was designed for, and the matrix's headline cell. The L queue
-    /// step-marks ECT(1) traffic at sub-RTT sojourns, so the detector must
-    /// stay silent (expected 0) while still firing on the RED mimic.
-    pub prague_fallbacks_dualq: u64,
-}
-
 fn norm(results: &CcMatrixResults, cc: CcAlg, queue: QueueKind) -> f64 {
     let num = results.cell(cc, queue);
     let den = results.cell(cc, QueueKind::DropTail);
@@ -148,12 +123,16 @@ fn norm(results: &CcMatrixResults, cc: CcAlg, queue: QueueKind) -> f64 {
     }
 }
 
-/// Distill the matrix into the gated controller-dimension claims.
-pub fn cc_claims(results: &CcMatrixResults) -> CcClaimsReport {
+/// Distill the matrix into the gated controller-dimension claims: loose
+/// thresholds on the pinned matrix point that catch a regression that
+/// erases the pathology, breaks the fix, or mistunes the Prague detector.
+/// A missing cell measures NaN, which fails.
+pub fn cc_claims(results: &CcMatrixResults) -> Vec<Claim> {
+    // Classic-ECN-AQM fallback episodes Prague detected against `queue`.
     let fallbacks = |queue| {
         results
             .cell(CcAlg::Prague, queue)
-            .map_or(u64::MAX, |m| m.cc_fallbacks)
+            .map_or(f64::NAN, |m| m.cc_fallbacks as f64)
     };
     let rescue = {
         let protected = results.cell(CcAlg::Cubic, QueueKind::Red(ProtectionMode::AckSyn));
@@ -165,66 +144,65 @@ pub fn cc_claims(results: &CcMatrixResults) -> CcClaimsReport {
             _ => f64::NAN,
         }
     };
-    CcClaimsReport {
-        cubic_protection_rescue: rescue,
-        cubic_ack_syn_vs_droptail: norm(
-            results,
-            CcAlg::Cubic,
-            QueueKind::Red(ProtectionMode::AckSyn),
+    vec![
+        // CUBIC goodput under RED[ack+syn] over CUBIC under stock
+        // RED[default]: same controller, same AQM family, and stock RED
+        // early-drops the ACK clock.
+        Claim::new(
+            "cubic_protection_rescue",
+            "ack+syn protection must rescue CUBIC goodput vs stock RED",
+            rescue,
+            Bound::Above(1.2),
         ),
-        bbr_ack_syn_vs_droptail: norm(results, CcAlg::Bbr, QueueKind::Red(ProtectionMode::AckSyn)),
-        prague_fallbacks_red_mimic: fallbacks(QueueKind::RedMimic(ProtectionMode::AckSyn)),
-        prague_fallbacks_simple_marking: fallbacks(QueueKind::SimpleMarking),
-        prague_fallbacks_dualq: fallbacks(QueueKind::DualQ(ProtectionMode::AckSyn)),
-    }
+        Claim::new(
+            "cubic_ack_syn_vs_droptail",
+            "ack+syn protection must hold CUBIC goodput relative to droptail",
+            norm(
+                results,
+                CcAlg::Cubic,
+                QueueKind::Red(ProtectionMode::AckSyn),
+            ),
+            Bound::Above(0.9),
+        ),
+        // The fix must generalise to a rate-based controller too.
+        Claim::new(
+            "bbr_ack_syn_vs_droptail",
+            "ack+syn protection must hold BBR goodput relative to droptail",
+            norm(results, CcAlg::Bbr, QueueKind::Red(ProtectionMode::AckSyn)),
+            Bound::Above(0.8),
+        ),
+        // The RED mimic is a classic AQM wearing a step-marking costume.
+        Claim::new(
+            "prague_fallbacks_red_mimic",
+            "Prague must detect the classic AQM behind the RED mimic (fallback episodes)",
+            fallbacks(QueueKind::RedMimic(ProtectionMode::AckSyn)),
+            Bound::AtLeast(1.0),
+        ),
+        // True simple marking is a genuine step AQM.
+        Claim::new(
+            "prague_fallbacks_simple_marking",
+            "Prague must stay scalable on true simple marking (fallback episodes)",
+            fallbacks(QueueKind::SimpleMarking),
+            Bound::Exactly(0.0),
+        ),
+        // The L4S DualQ is the queue Prague was designed for, and the
+        // matrix's headline cell: its L queue step-marks ECT(1) traffic at
+        // sub-RTT sojourns, so the detector must stay silent there while
+        // still firing on the RED mimic.
+        Claim::new(
+            "prague_fallbacks_dualq",
+            "Prague must stay scalable on its native L4S DualQ (fallback episodes)",
+            fallbacks(QueueKind::DualQ(ProtectionMode::AckSyn)),
+            Bound::Exactly(0.0),
+        ),
+    ]
 }
 
-/// Direction-of-effect gates on the controller dimension, same philosophy as
-/// [`crate::claims::check_claims`]: deliberately loose thresholds on the
-/// pinned matrix point that catch a regression that erases the pathology,
-/// breaks the fix, or mistunes the Prague detector. Returns one description
-/// per failed gate; empty means the controller claims reproduced.
-pub fn check_cc_claims(c: &CcClaimsReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut gate = |desc: &str, value: f64, pass: bool| {
-        if !value.is_finite() || !pass {
-            failures.push(format!("{desc} (measured {value:.3})"));
-        }
-    };
-    gate(
-        "ack+syn protection must rescue CUBIC goodput vs stock RED: expected > 1.2x",
-        c.cubic_protection_rescue,
-        c.cubic_protection_rescue > 1.2,
-    );
-    gate(
-        "ack+syn protection must hold CUBIC goodput: expected > 0.9 of droptail",
-        c.cubic_ack_syn_vs_droptail,
-        c.cubic_ack_syn_vs_droptail > 0.9,
-    );
-    gate(
-        "ack+syn protection must hold BBR goodput: expected > 0.8 of droptail",
-        c.bbr_ack_syn_vs_droptail,
-        c.bbr_ack_syn_vs_droptail > 0.8,
-    );
-    gate(
-        "Prague must detect the classic AQM behind the RED mimic: expected > 0 episodes",
-        c.prague_fallbacks_red_mimic as f64,
-        c.prague_fallbacks_red_mimic >= 1 && c.prague_fallbacks_red_mimic != u64::MAX,
-    );
-    gate(
-        "Prague must stay scalable on true simple marking: expected 0 episodes",
-        c.prague_fallbacks_simple_marking as f64,
-        c.prague_fallbacks_simple_marking == 0,
-    );
-    gate(
-        "Prague must stay scalable on its native L4S DualQ: expected 0 episodes",
-        c.prague_fallbacks_dualq as f64,
-        c.prague_fallbacks_dualq == 0,
-    );
-    failures
-}
+/// The one claim check, also under this name because simbench's
+/// `cc-matrix` op calls it.
+pub use crate::claim::check as check_cc_claims;
 
-/// Render the matrix and the claims, throughput normalised per controller to
+/// Render the matrix, throughput normalised per controller to
 /// its own DropTail cell.
 pub fn render_cc_matrix(results: &CcMatrixResults) -> String {
     let mut s = String::new();
@@ -252,6 +230,7 @@ pub fn render_cc_matrix(results: &CcMatrixResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claim::find;
 
     fn metrics(tput: f64, fallbacks: u64) -> RunMetrics {
         RunMetrics {
@@ -294,14 +273,24 @@ mod tests {
         CcMatrixResults { points }
     }
 
+    /// Ids of the claims that do not hold, in claim order.
+    fn failed(m: &CcMatrixResults) -> Vec<String> {
+        cc_claims(m)
+            .into_iter()
+            .filter(|c| !c.holds())
+            .map(|c| c.id)
+            .collect()
+    }
+
     #[test]
     fn healthy_matrix_passes_every_gate() {
         let c = cc_claims(&healthy_matrix());
-        assert!((c.cubic_protection_rescue - 100.0 / 70.0).abs() < 1e-9);
-        assert!((c.cubic_ack_syn_vs_droptail - 1.0).abs() < 1e-9);
-        assert_eq!(c.prague_fallbacks_red_mimic, 2);
-        assert_eq!(c.prague_fallbacks_simple_marking, 0);
-        assert_eq!(c.prague_fallbacks_dualq, 0);
+        let m = |id| find(&c, id).unwrap().measured;
+        assert!((m("cubic_protection_rescue") - 100.0 / 70.0).abs() < 1e-9);
+        assert!((m("cubic_ack_syn_vs_droptail") - 1.0).abs() < 1e-9);
+        assert_eq!(m("prague_fallbacks_red_mimic"), 2.0);
+        assert_eq!(m("prague_fallbacks_simple_marking"), 0.0);
+        assert_eq!(m("prague_fallbacks_dualq"), 0.0);
         assert!(check_cc_claims(&c).is_empty());
     }
 
@@ -311,9 +300,7 @@ mod tests {
         for p in &mut m.points {
             p.metrics.throughput_per_node_bps = 100.0;
         }
-        let failures = check_cc_claims(&cc_claims(&m));
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("CUBIC"), "{failures:?}");
+        assert_eq!(failed(&m), ["cubic_protection_rescue"]);
     }
 
     #[test]
@@ -322,9 +309,7 @@ mod tests {
         for p in &mut m.points {
             p.metrics.cc_fallbacks = 0;
         }
-        let failures = check_cc_claims(&cc_claims(&m));
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("RED mimic"), "{failures:?}");
+        assert_eq!(failed(&m), ["prague_fallbacks_red_mimic"]);
     }
 
     #[test]
@@ -335,10 +320,10 @@ mod tests {
                 p.metrics.cc_fallbacks = 3;
             }
         }
-        let failures = check_cc_claims(&cc_claims(&m));
-        assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("simple marking")));
-        assert!(failures.iter().any(|f| f.contains("DualQ")));
+        assert_eq!(
+            failed(&m),
+            ["prague_fallbacks_simple_marking", "prague_fallbacks_dualq"]
+        );
     }
 
     #[test]
@@ -349,17 +334,26 @@ mod tests {
                 p.metrics.cc_fallbacks = 1;
             }
         }
-        let failures = check_cc_claims(&cc_claims(&m));
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("DualQ"), "{failures:?}");
+        assert_eq!(failed(&m), ["prague_fallbacks_dualq"]);
     }
 
     #[test]
     fn missing_cell_always_fails() {
         let mut m = healthy_matrix();
         m.points.retain(|p| p.cc != CcAlg::Prague);
-        let failures = check_cc_claims(&cc_claims(&m));
-        assert_eq!(failures.len(), 3, "{failures:?}");
+        assert_eq!(
+            failed(&m),
+            [
+                "prague_fallbacks_red_mimic",
+                "prague_fallbacks_simple_marking",
+                "prague_fallbacks_dualq"
+            ]
+        );
+        let c = cc_claims(&m);
+        assert!(find(&c, "prague_fallbacks_dualq")
+            .unwrap()
+            .measured
+            .is_nan());
     }
 
     #[test]

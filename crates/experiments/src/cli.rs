@@ -16,8 +16,6 @@ use std::path::{Path, PathBuf};
 pub struct CliArgs {
     /// `--tiny`: reduced grid / scaled-down cluster for smoke runs.
     pub tiny: bool,
-    /// `--fresh`: ignore any cached sweep.
-    pub fresh: bool,
     /// `--seed N`: override the scenario's base RNG seed.
     pub seed: Option<u64>,
     /// `--jobs N`: worker threads for the sweep (default: one per core).
@@ -53,7 +51,6 @@ impl CliArgs {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--tiny" => out.tiny = true,
-                "--fresh" => out.fresh = true,
                 "--seed" => match it.next().map(|v| v.parse::<u64>()) {
                     Some(Ok(s)) => out.seed = Some(s),
                     _ => die("--seed needs an unsigned integer value"),
@@ -84,7 +81,7 @@ impl CliArgs {
                     None => die("--topology needs two-tier or fat-tree:K"),
                 },
                 other => die(&format!(
-                    "unknown argument {other}; supported: --tiny --fresh --seed N \
+                    "unknown argument {other}; supported: --tiny --seed N \
                      --jobs N --no-cache --cc ALG --shards N \
                      --topology two-tier|fat-tree:K --trace PATH \
                      --trace-filter flow=N|kind=NAME"
@@ -268,59 +265,11 @@ pub fn cli_args() -> CliArgs {
     args
 }
 
-/// Where sweep results are cached so Figures 2–4 binaries share one run.
-pub fn default_cache_path(tiny: bool) -> PathBuf {
-    let name = if tiny {
-        "sweep_tiny.json"
-    } else {
-        "sweep.json"
-    };
-    PathBuf::from("results").join(name)
-}
-
-/// Load a cached sweep if it exists and was produced by the same grid;
-/// otherwise run the sweep through the orchestrator and cache it. A `--seed`
-/// override changes `grid.config.seed`, so a cache written under a different
-/// seed fails the grid comparison and is re-run rather than silently reused.
-///
-/// Two cache tiers compose here: this aggregate file (so the Fig. 2–4
-/// binaries share one run without recomputing anything at all), and the
-/// orchestrator's per-point content-addressed cache under `results/.cache/`
-/// (so a `--fresh` re-run, or a grid that overlaps a previous one, only
-/// executes the points it has never seen).
-pub fn sweep_cached(grid: &SweepGrid, path: &Path, opts: &SweepOptions) -> SweepResults {
-    if let Ok(text) = std::fs::read_to_string(path) {
-        if let Ok(res) = serde_json::from_str::<SweepResults>(&text) {
-            if res.grid == *grid {
-                eprintln!("[experiments] using cached sweep from {}", path.display());
-                return res;
-            }
-            eprintln!(
-                "[experiments] cache at {} has a different grid; re-running",
-                path.display()
-            );
-        }
-    }
-    eprintln!(
-        "[experiments] running sweep: {} transports x {} queues x {} delays x 2 depths...",
-        grid.transports.len(),
-        grid.queues.len(),
-        grid.target_delays_us.len()
-    );
-    let (res, stats) = sweep_with(grid, opts);
-    eprintln!(
-        "[experiments] sweep done: {} points executed, {} from cache",
-        stats.executed, stats.cached
-    );
-    if let Err(e) = write_sweep_json(&res, path) {
-        eprintln!("[experiments] warning: could not cache sweep: {e}");
-    }
-    res
-}
-
-/// Parse the common flags. Returns (grid, aggregate_cache_path, fresh,
-/// orchestrator options).
-pub fn parse_args() -> (SweepGrid, PathBuf, bool, SweepOptions) {
+/// Run the sweep the parsed flags select through the orchestrator, and
+/// write it to `results/sweep.json` (`results/sweep_tiny.json` under
+/// `--tiny`). Points already in the per-point cache under `results/.cache/`
+/// replay instead of executing, unless `--no-cache`.
+pub fn sweep_from_args() -> SweepResults {
     let args = cli_args();
     let mut grid = if args.tiny {
         SweepGrid::tiny()
@@ -328,17 +277,30 @@ pub fn parse_args() -> (SweepGrid, PathBuf, bool, SweepOptions) {
         SweepGrid::default()
     };
     grid.config = args.scenario();
-    let opts = args.sweep_options();
-    (grid, default_cache_path(args.tiny), args.fresh, opts)
-}
-
-/// Run (or load) the sweep per the parsed flags.
-pub fn sweep_from_args() -> SweepResults {
-    let (grid, path, fresh, opts) = parse_args();
-    if fresh {
-        let _ = std::fs::remove_file(&path);
+    eprintln!(
+        "[experiments] running sweep: {} transports x {} queues x {} delays x 2 depths...",
+        grid.transports.len(),
+        grid.queues.len(),
+        grid.target_delays_us.len()
+    );
+    let (res, stats) = sweep_with(&grid, &args.sweep_options());
+    eprintln!(
+        "[experiments] sweep done: {} points executed, {} from cache",
+        stats.executed, stats.cached
+    );
+    let name = if args.tiny {
+        "sweep_tiny.json"
+    } else {
+        "sweep.json"
+    };
+    let path = Path::new("results").join(name);
+    if let Err(e) = write_sweep_json(&res, &path) {
+        eprintln!(
+            "[experiments] warning: could not write {}: {e}",
+            path.display()
+        );
     }
-    sweep_cached(&grid, &path, &opts)
+    res
 }
 
 #[cfg(test)]
@@ -351,8 +313,8 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let a = parse(&["--tiny", "--seed", "99", "--fresh"]);
-        assert!(a.tiny && a.fresh);
+        let a = parse(&["--tiny", "--seed", "99"]);
+        assert!(a.tiny);
         assert_eq!(a.seed, Some(99));
         assert_eq!(parse(&["--seed=123"]).seed, Some(123));
         assert_eq!(parse(&[]).seed, None);

@@ -21,6 +21,7 @@
 //! the `simverify` schedule-permutation determinism checker.
 
 pub mod cc_matrix;
+pub mod claim;
 pub mod claims;
 pub mod cli;
 pub mod figures;
@@ -31,6 +32,7 @@ pub mod simsweep;
 pub mod sweep;
 pub mod tiny_buffer;
 pub mod verify;
+pub mod workloads;
 
 pub use scenario::{
     run_scenario, BufferDepth, QueueKind, RunMetrics, ScenarioConfig, TopologyKind, Transport,

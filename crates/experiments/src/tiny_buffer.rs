@@ -16,6 +16,7 @@
 //! * per discipline, protection must not *cost* goodput — and in aggregate
 //!   it must win it.
 
+use crate::claim::{Bound, Claim};
 use crate::scenario::{
     run_scenario, BufferDepth, QueueKind, RunMetrics, ScenarioConfig, Transport,
 };
@@ -125,27 +126,10 @@ pub fn run_tiny_buffer(cfg: &ScenarioConfig) -> TinyBufferResults {
     TinyBufferResults { points }
 }
 
-/// The gated direction-of-effect numbers, distilled from the grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TinyBufferClaims {
-    /// Per modal family: goodput under `AckSyn` over goodput under
-    /// `Default`, each summed across the buffer axis (family label, ratio).
-    /// Protection must not cost goodput on any AQM (each ≥ 0.9) — the
-    /// paper's result generalising beyond RED.
-    pub protection_ratios: Vec<(String, f64)>,
-    /// ACK early-drops across every `AckSyn` cell (structural; must be 0).
-    pub protected_ack_drops: u64,
-    /// SYN/SYN-ACK early-drops across every `AckSyn` cell (must be 0).
-    pub protected_handshake_drops: u64,
-    /// ACK early-drops across every `Default` cell — the pathology must
-    /// still exist at tiny buffers (must be ≥ 1).
-    pub default_ack_drops: u64,
-    /// Every cell's job finished inside the time limit.
-    pub all_completed: bool,
-}
-
-/// Distill the grid into the gated claims.
-pub fn tiny_buffer_claims(res: &TinyBufferResults) -> TinyBufferClaims {
+/// Distill the grid into the gated direction-of-effect claims: loose
+/// thresholds that catch a regression erasing the pathology or breaking the
+/// protection result on any of the modern AQMs.
+pub fn tiny_buffer_claims(res: &TinyBufferResults) -> Vec<Claim> {
     let sum_tput = |queue: QueueKind| -> f64 {
         TINY_BUFFERS
             .iter()
@@ -155,7 +139,10 @@ pub fn tiny_buffer_claims(res: &TinyBufferResults) -> TinyBufferClaims {
             })
             .sum()
     };
-    let protection_ratios = modal_kinds(ProtectionMode::Default)
+    // Per modal family: goodput under `AckSyn` over goodput under
+    // `Default`, each summed across the buffer axis. Protection must not
+    // cost goodput on any AQM — the paper's result generalising beyond RED.
+    let mut claims: Vec<Claim> = modal_kinds(ProtectionMode::Default)
         .into_iter()
         .zip(modal_kinds(ProtectionMode::AckSyn))
         .map(|(def, prot)| {
@@ -165,84 +152,59 @@ pub fn tiny_buffer_claims(res: &TinyBufferResults) -> TinyBufferClaims {
             } else {
                 f64::NAN
             };
-            (family(def).to_string(), ratio)
+            let fam = family(def);
+            Claim::new(
+                &format!("protection_ratio_{fam}"),
+                &format!("ack+syn protection must not cost goodput on {fam} at tiny buffers"),
+                ratio,
+                Bound::AtLeast(0.9),
+            )
         })
         .collect();
-    let drops = |mode: ProtectionMode, f: fn(&RunMetrics) -> u64| -> u64 {
+    // `f64::max` skips NaN, so the best ratio is NaN only if every one is.
+    let best = claims.iter().map(|c| c.measured).fold(f64::NAN, f64::max);
+    let drops = |mode: ProtectionMode, f: fn(&RunMetrics) -> u64| -> f64 {
         res.points
             .iter()
             .filter(|p| modal_kinds(mode).contains(&p.queue))
             .map(|p| f(&p.metrics))
-            .sum()
+            .sum::<u64>() as f64
     };
-    TinyBufferClaims {
-        protection_ratios,
-        protected_ack_drops: drops(ProtectionMode::AckSyn, |m| m.acks_early_dropped),
-        protected_handshake_drops: drops(ProtectionMode::AckSyn, |m| m.handshake_early_dropped),
-        default_ack_drops: drops(ProtectionMode::Default, |m| m.acks_early_dropped),
-        all_completed: res.points.iter().all(|p| p.metrics.completed),
-    }
-}
-
-/// Direction-of-effect gates, same philosophy as [`crate::claims::check_claims`]:
-/// deliberately loose thresholds that catch a regression erasing the
-/// pathology or breaking the protection result on any of the modern AQMs.
-/// Returns one description per failed gate; empty means the tiny-buffer
-/// claims reproduced.
-pub fn check_tiny_buffer_claims(c: &TinyBufferClaims) -> Vec<String> {
-    let mut failures = Vec::new();
-    if c.protection_ratios.len() != modal_kinds(ProtectionMode::Default).len() {
-        failures.push(format!(
-            "expected one protection ratio per modal AQM, got {}",
-            c.protection_ratios.len()
-        ));
-    }
-    for (fam, ratio) in &c.protection_ratios {
-        if !ratio.is_finite() || *ratio < 0.9 {
-            failures.push(format!(
-                "ack+syn protection must not cost goodput on {fam} at tiny buffers: \
-                 expected >= 0.9 (measured {ratio:.3})"
-            ));
-        }
-    }
-    if let Some(best) = c
-        .protection_ratios
-        .iter()
-        .map(|(_, r)| *r)
-        .fold(None, |acc: Option<f64>, r| {
-            Some(acc.map_or(r, |a| a.max(r)))
-        })
-    {
-        if !best.is_finite() || best <= 1.0 {
-            failures.push(format!(
-                "ack+syn protection must win goodput on at least one AQM at tiny \
-                 buffers: expected best ratio > 1.0 (measured {best:.3})"
-            ));
-        }
-    }
-    if c.protected_ack_drops != 0 {
-        failures.push(format!(
-            "ack+syn protection must never early-drop an ACK (measured {})",
-            c.protected_ack_drops
-        ));
-    }
-    if c.protected_handshake_drops != 0 {
-        failures.push(format!(
-            "ack+syn protection must never early-drop a SYN/SYN-ACK (measured {})",
-            c.protected_handshake_drops
-        ));
-    }
-    if c.default_ack_drops == 0 {
-        failures.push(
-            "stock Default policy must early-drop ACKs somewhere at tiny buffers \
-             (measured 0: the comparison is vacuous)"
-                .to_string(),
-        );
-    }
-    if !c.all_completed {
-        failures.push("every tiny-buffer cell must finish inside the time limit".to_string());
-    }
-    failures
+    claims.extend([
+        Claim::new(
+            "protection_ratio_best",
+            "ack+syn protection must win goodput on at least one AQM at tiny buffers (best ratio)",
+            best,
+            Bound::Above(1.0),
+        ),
+        // Structural: protection exempts ACKs and SYNs on every AQM.
+        Claim::new(
+            "protected_ack_drops",
+            "ack+syn protection must never early-drop an ACK",
+            drops(ProtectionMode::AckSyn, |m| m.acks_early_dropped),
+            Bound::Exactly(0.0),
+        ),
+        Claim::new(
+            "protected_handshake_drops",
+            "ack+syn protection must never early-drop a SYN/SYN-ACK",
+            drops(ProtectionMode::AckSyn, |m| m.handshake_early_dropped),
+            Bound::Exactly(0.0),
+        ),
+        // Without the pathology the comparison is vacuous.
+        Claim::new(
+            "default_ack_drops",
+            "stock Default policy must early-drop ACKs somewhere at tiny buffers",
+            drops(ProtectionMode::Default, |m| m.acks_early_dropped),
+            Bound::AtLeast(1.0),
+        ),
+        Claim::new(
+            "unfinished_cells",
+            "every tiny-buffer cell must finish inside the time limit (unfinished cells)",
+            res.points.iter().filter(|p| !p.metrics.completed).count() as f64,
+            Bound::Exactly(0.0),
+        ),
+    ]);
+    claims
 }
 
 /// Render the grid, one row per cell.
@@ -272,6 +234,7 @@ pub fn render_tiny_buffer(res: &TinyBufferResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claim::{check, find};
 
     fn metrics(tput: f64, ack_drops: u64) -> RunMetrics {
         RunMetrics {
@@ -334,16 +297,31 @@ mod tests {
         assert!(d8 <= SimDuration::from_micros(60), "{d8}");
     }
 
+    /// Ids of the claims that do not hold, in claim order.
+    fn failed(g: &TinyBufferResults) -> Vec<String> {
+        tiny_buffer_claims(g)
+            .into_iter()
+            .filter(|c| !c.holds())
+            .map(|c| c.id)
+            .collect()
+    }
+
     #[test]
     fn healthy_grid_passes_every_gate() {
         let c = tiny_buffer_claims(&healthy_grid());
-        assert_eq!(c.protection_ratios.len(), 5);
-        for (fam, r) in &c.protection_ratios {
-            assert!((r - 1.25).abs() < 1e-9, "{fam}: {r}");
+        let ratios: Vec<&Claim> = c
+            .iter()
+            .filter(|c| c.id.starts_with("protection_ratio_") && c.id != "protection_ratio_best")
+            .collect();
+        assert_eq!(ratios.len(), 5);
+        for r in ratios {
+            assert!((r.measured - 1.25).abs() < 1e-9, "{r}");
         }
-        assert_eq!(c.protected_ack_drops, 0);
-        assert_eq!(c.default_ack_drops, 7 * 5 * TINY_BUFFERS.len() as u64);
-        assert!(check_tiny_buffer_claims(&c).is_empty());
+        let m = |id| find(&c, id).unwrap().measured;
+        assert_eq!(m("protected_ack_drops"), 0.0);
+        assert_eq!(m("default_ack_drops"), (7 * 5 * TINY_BUFFERS.len()) as f64);
+        assert_eq!(m("unfinished_cells"), 0.0);
+        assert!(check(&c).is_empty());
     }
 
     #[test]
@@ -354,9 +332,7 @@ mod tests {
                 p.metrics.throughput_per_node_bps = 50.0;
             }
         }
-        let failures = check_tiny_buffer_claims(&tiny_buffer_claims(&g));
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("pie"), "{failures:?}");
+        assert_eq!(failed(&g), ["protection_ratio_pie"]);
     }
 
     #[test]
@@ -367,12 +343,7 @@ mod tests {
                 p.metrics.acks_early_dropped = 1;
             }
         }
-        let failures = check_tiny_buffer_claims(&tiny_buffer_claims(&g));
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(
-            failures[0].contains("never early-drop an ACK"),
-            "{failures:?}"
-        );
+        assert_eq!(failed(&g), ["protected_ack_drops"]);
     }
 
     #[test]
@@ -381,9 +352,7 @@ mod tests {
         for p in &mut g.points {
             p.metrics.acks_early_dropped = 0;
         }
-        let failures = check_tiny_buffer_claims(&tiny_buffer_claims(&g));
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("vacuous"), "{failures:?}");
+        assert_eq!(failed(&g), ["default_ack_drops"]);
     }
 
     #[test]
@@ -391,11 +360,27 @@ mod tests {
         let mut g = healthy_grid();
         g.points
             .retain(|p| !matches!(p.queue, QueueKind::CurvyRed(ProtectionMode::Default)));
-        let failures = check_tiny_buffer_claims(&tiny_buffer_claims(&g));
-        assert!(
-            failures.iter().any(|f| f.contains("curvy-red")),
-            "{failures:?}"
-        );
+        assert_eq!(failed(&g), ["protection_ratio_curvy-red"]);
+    }
+
+    #[test]
+    fn best_ratio_is_strictly_above_one() {
+        // Protection that only breaks even everywhere passes every family
+        // gate (>= 0.9) but not the best-ratio gate (> 1.0).
+        let mut g = healthy_grid();
+        for p in &mut g.points {
+            p.metrics.throughput_per_node_bps = 100.0;
+        }
+        assert_eq!(failed(&g), ["protection_ratio_best"]);
+    }
+
+    #[test]
+    fn an_unfinished_cell_fails_the_completion_gate() {
+        let mut g = healthy_grid();
+        g.points[0].metrics.completed = false;
+        assert_eq!(failed(&g), ["unfinished_cells"]);
+        let c = tiny_buffer_claims(&g);
+        assert_eq!(find(&c, "unfinished_cells").unwrap().measured, 1.0);
     }
 
     #[test]

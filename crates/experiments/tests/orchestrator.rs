@@ -9,7 +9,7 @@ use experiments::{sweep_with, CacheMode, SweepGrid, SweepOptions};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// A fresh scratch directory under the target-adjacent temp root. Unique per
+/// A new scratch directory under the target-adjacent temp root. Unique per
 /// test (pid + name) so parallel tests never collide; removed on drop.
 struct Scratch(PathBuf);
 
@@ -140,8 +140,8 @@ fn fig2_bin_jobs_flag_is_deterministic_and_cache_replays() {
         "--jobs 4 must write the same sweep JSON as --jobs 1"
     );
 
-    // Populate the point cache, then force a fresh aggregate: every point
-    // must replay from cache and the output must still be identical.
+    // Populate the point cache, then re-run: every point must replay from
+    // cache and the output must still be identical.
     std::fs::remove_file(&sweep_path).unwrap();
     let warm = fig2(dir, &[&common[..], &["--jobs", "2"]].concat());
     assert!(warm.status.success(), "{warm:?}");
@@ -150,17 +150,53 @@ fn fig2_bin_jobs_flag_is_deterministic_and_cache_replays() {
         "default cache location"
     );
 
-    let replay = fig2(dir, &[&common[..], &["--fresh", "--jobs", "2"]].concat());
+    let replay = fig2(dir, &[&common[..], &["--jobs", "2"]].concat());
     assert!(replay.status.success(), "{replay:?}");
     let stderr = String::from_utf8_lossy(&replay.stderr);
     assert!(
         stderr.contains("0 points executed"),
-        "fresh aggregate over a warm point cache must execute nothing: {stderr}"
+        "a re-run over a warm point cache must execute nothing: {stderr}"
     );
     let replayed_json = std::fs::read(&sweep_path).unwrap();
     assert_eq!(
         serial_json, replayed_json,
         "cache-served sweep must be byte-identical to the executed one"
+    );
+}
+
+/// The `N` of the "N points executed, M from cache" line a sweep prints.
+fn executed_and_cached(out: &std::process::Output) -> (u64, u64) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find(|l| l.contains("points executed"))
+        .unwrap_or_else(|| panic!("no sweep summary in: {stderr}"));
+    let nums: Vec<u64> = line
+        .split_whitespace()
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    (nums[0], nums[1])
+}
+
+#[test]
+fn no_cache_executes_every_point_despite_a_matching_sweep_file() {
+    let scratch = Scratch::new("fig2-no-cache");
+    let dir = scratch.path();
+    let args = ["--tiny", "--seed", "23", "--jobs", "2", "--no-cache"];
+    // The first run writes a `results/sweep_tiny.json` for exactly this
+    // grid; the second must not take its results from it.
+    let first = fig2(dir, &args);
+    assert!(first.status.success(), "{first:?}");
+    assert!(dir.join("results/sweep_tiny.json").is_file());
+    let (points, _) = executed_and_cached(&first);
+    assert!(points > 0);
+
+    let second = fig2(dir, &args);
+    assert!(second.status.success(), "{second:?}");
+    assert_eq!(
+        executed_and_cached(&second),
+        (points, 0),
+        "--no-cache must execute every point"
     );
 }
 

@@ -128,7 +128,7 @@ impl FctCollector {
 }
 
 /// Percentile statistics for one flow class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClassFctSummary {
     /// Completed flows.
     pub flows: u64,
@@ -155,7 +155,7 @@ pub struct ClassFctSummary {
 }
 
 /// The full mice/elephants/overall FCT report of one workload run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FctSummary {
     /// Every completed flow.
     pub all: ClassFctSummary,

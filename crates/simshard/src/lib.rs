@@ -46,7 +46,8 @@
 //! costs more than a window's worth of simulation at microsecond lookaheads.
 
 use simevent::SimTime;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A cross-shard message: a payload due at `at` on shard `dest`, with the
 /// deterministic merge `key` (pack the destination and source entities so
@@ -119,16 +120,20 @@ struct Slot<W: EpochWorker> {
 
 impl<W: EpochWorker> Slot<W> {
     fn post(&self, cmd: Cmd) {
-        self.inner.lock().expect("shard worker panicked").cmd = cmd;
+        lock(&self.inner).cmd = cmd;
         self.cv.notify_all();
     }
 
     /// The worker thread: run each posted window until told to exit.
     fn serve(&self) {
-        let mut g = self.inner.lock().expect("coordinator panicked");
+        // Wakes a coordinator waiting on this slot even when a window
+        // panics: the lock is released poisoned first (`g` drops before
+        // `_wake`), so the coordinator sees the poison instead of sleeping.
+        let _wake = NotifyOnDrop(&self.cv);
+        let mut g = lock(&self.inner);
         loop {
             match g.cmd {
-                Cmd::Idle => g = self.cv.wait(g).expect("coordinator panicked"),
+                Cmd::Idle => g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner),
                 Cmd::Run(end) => {
                     let s = &mut *g;
                     s.worker.run_window(end, &mut s.outbox, &mut s.report);
@@ -137,6 +142,35 @@ impl<W: EpochWorker> Slot<W> {
                 }
                 Cmd::Exit => return,
             }
+        }
+    }
+}
+
+/// Lock a slot whatever a panicking thread left in it, for posting a
+/// command and for the worker thread, so the teardown never panics. The
+/// coordinator's other locks (collecting a window, serial phases) still
+/// panic on a poisoned slot: that is how a worker panic reaches
+/// [`run_crew`], which re-raises it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+struct NotifyOnDrop<'a>(&'a Condvar);
+
+impl Drop for NotifyOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.notify_all();
+    }
+}
+
+/// Tells every worker to exit when dropped, so the scope can join them
+/// however the coordinator leaves it: by returning or by panicking.
+struct ExitOnDrop<W: EpochWorker>(Vec<Arc<Slot<W>>>);
+
+impl<W: EpochWorker> Drop for ExitOnDrop<W> {
+    fn drop(&mut self) {
+        for slot in &self.0 {
+            slot.post(Cmd::Exit);
         }
     }
 }
@@ -251,64 +285,80 @@ impl<W: EpochWorker> CrewHandle<W> {
 /// coordinator closure a [`CrewHandle`], and tear the crew down when it
 /// returns. The workers are returned in shard order so the caller can merge
 /// per-shard state (metrics, traces) back into the serial world.
+///
+/// A panic anywhere in the crew ends the call with a panic, never a hang:
+/// the workers are told to exit however the closure ends, and the first
+/// worker panic is re-raised in preference to the coordinator's (which is
+/// then most likely the poisoned-slot error that worker panic caused).
 pub fn run_crew<W: EpochWorker, R>(
     workers: Vec<W>,
     f: impl FnOnce(&mut CrewHandle<W>) -> R,
 ) -> (Vec<W>, R) {
     let n = workers.len();
     assert!(n >= 1, "a crew needs at least one worker");
-    let (lanes, r) = std::thread::scope(|scope| {
-        let lanes = if n == 1 {
-            Lanes::Inline(workers)
-        } else {
-            let spawn = |(i, worker)| {
-                let slot = Arc::new(Slot {
-                    inner: Mutex::new(SlotInner {
-                        worker,
-                        cmd: Cmd::Idle,
-                        outbox: Vec::new(),
-                        report: W::Report::default(),
-                    }),
-                    cv: Condvar::new(),
-                });
-                let served = Arc::clone(&slot);
+    let mut crew = CrewHandle {
+        lanes: Lanes::Inline(Vec::new()),
+        outbox: Vec::new(),
+        inboxes: (0..n).map(|_| Vec::new()).collect(),
+    };
+    if n == 1 {
+        crew.lanes = Lanes::Inline(workers);
+        let r = f(&mut crew);
+        return (crew.into_workers(), r);
+    }
+    let r = std::thread::scope(|scope| {
+        let mut exit = ExitOnDrop(Vec::with_capacity(n));
+        let mut threads = Vec::with_capacity(n);
+        for (i, worker) in workers.into_iter().enumerate() {
+            let slot = Arc::new(Slot {
+                inner: Mutex::new(SlotInner {
+                    worker,
+                    cmd: Cmd::Idle,
+                    outbox: Vec::new(),
+                    report: W::Report::default(),
+                }),
+                cv: Condvar::new(),
+            });
+            let served = Arc::clone(&slot);
+            exit.0.push(Arc::clone(&slot));
+            threads.push(
                 std::thread::Builder::new()
                     .name(format!("simshard-{i}"))
                     .spawn_scoped(scope, move || served.serve())
-                    .expect("spawn shard worker");
-                slot
-            };
-            Lanes::Threaded(workers.into_iter().enumerate().map(spawn).collect())
-        };
-        let mut crew = CrewHandle {
-            lanes,
-            outbox: Vec::new(),
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
-        };
-        let r = f(&mut crew);
-        if let Lanes::Threaded(slots) = &crew.lanes {
-            for slot in slots {
-                slot.post(Cmd::Exit);
+                    .expect("spawn shard worker"),
+            );
+        }
+        crew.lanes = Lanes::Threaded(exit.0.clone());
+        let r = panic::catch_unwind(AssertUnwindSafe(|| f(&mut crew)));
+        drop(exit);
+        for t in threads {
+            if let Err(worker_panic) = t.join() {
+                panic::resume_unwind(worker_panic);
             }
         }
-        (crew.lanes, r)
+        r.unwrap_or_else(|coordinator_panic| panic::resume_unwind(coordinator_panic))
     });
-    let workers = match lanes {
-        Lanes::Inline(ws) => ws,
-        // The scope has joined every worker thread, so each slot's last
-        // reference is this one.
-        Lanes::Threaded(slots) => slots
-            .into_iter()
-            .map(|slot| {
-                let slot = Arc::into_inner(slot).expect("worker threads are joined");
-                slot.inner
-                    .into_inner()
-                    .expect("shard worker panicked")
-                    .worker
-            })
-            .collect(),
-    };
-    (workers, r)
+    (crew.into_workers(), r)
+}
+
+impl<W: EpochWorker> CrewHandle<W> {
+    /// The workers back, in shard order, once every worker thread has
+    /// been joined (so each slot's last reference is the crew's).
+    fn into_workers(self) -> Vec<W> {
+        match self.lanes {
+            Lanes::Inline(ws) => ws,
+            Lanes::Threaded(slots) => slots
+                .into_iter()
+                .map(|slot| {
+                    let slot = Arc::into_inner(slot).expect("worker threads are joined");
+                    slot.inner
+                        .into_inner()
+                        .expect("shard worker panicked")
+                        .worker
+                })
+                .collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -527,6 +577,99 @@ mod tests {
                 (t(2), 5, 0),
             ]
         );
+    }
+
+    /// A worker that does nothing but count windows, and panics in window
+    /// `panic_in` if it has one.
+    struct Bomb {
+        shard: usize,
+        windows: u32,
+        panic_in: Option<u32>,
+    }
+
+    impl EpochWorker for Bomb {
+        type Msg = ();
+        type Report = ();
+        fn run_window(&mut self, _: SimTime, _: &mut Vec<ShardMsg<()>>, _: &mut ()) {
+            self.windows += 1;
+            if self.panic_in == Some(self.windows) {
+                panic!("worker {} blew up in window {}", self.shard, self.windows);
+            }
+        }
+        fn inject(&mut self, _: std::vec::Drain<'_, ShardMsg<()>>, _: &mut ()) {}
+    }
+
+    /// `n` bombs; only shard 1's is live, set to go off in `panic_in`.
+    fn bombs(n: usize, panic_in: Option<u32>) -> Vec<Bomb> {
+        (0..n)
+            .map(|shard| Bomb {
+                shard,
+                windows: 0,
+                panic_in: panic_in.filter(|_| shard == 1),
+            })
+            .collect()
+    }
+
+    /// Run `crew` on a helper thread and demand that it ends in a panic
+    /// within a deadline; returns the panic's message. A hung crew fails
+    /// the test instead of hanging it.
+    fn panic_message_within_deadline(crew: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = panic::catch_unwind(AssertUnwindSafe(crew));
+            let _ = tx.send(outcome.err().map(|p| {
+                p.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            }));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(Some(msg)) => msg,
+            Ok(None) => panic!("the crew finished without panicking"),
+            Err(_) => panic!("the crew hung: no panic within 10 s"),
+        }
+    }
+
+    fn steps(crew: &mut CrewHandle<Bomb>, windows: u64) {
+        let mut reports = vec![(); crew.num_shards()];
+        for w in 1..=windows {
+            crew.step(SimTime::from_micros(w), &mut reports);
+        }
+    }
+
+    #[test]
+    fn a_panicking_coordinator_ends_the_crew() {
+        for n in [2, 4] {
+            let msg = panic_message_within_deadline(move || {
+                run_crew(bombs(n, None), |crew| {
+                    steps(crew, 3);
+                    panic!("coordinator gave up at {n} shards");
+                });
+            });
+            assert_eq!(msg, format!("coordinator gave up at {n} shards"));
+
+            // Panicking while holding a shard's lock poisons its slot; the
+            // teardown must still reach that shard's worker.
+            let msg = panic_message_within_deadline(move || {
+                run_crew(bombs(n, None), |crew| {
+                    steps(crew, 3);
+                    crew.with_worker(1, |_| panic!("serial phase failed at {n} shards"));
+                });
+            });
+            assert_eq!(msg, format!("serial phase failed at {n} shards"));
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_mid_window_ends_the_crew_with_that_panic() {
+        for n in [2, 4] {
+            let msg = panic_message_within_deadline(move || {
+                run_crew(bombs(n, Some(3)), |crew| steps(crew, 10));
+            });
+            // The worker's own panic, not the coordinator's poison error.
+            assert_eq!(msg, "worker 1 blew up in window 3");
+        }
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl CoflowSet {
 }
 
 /// Aggregate coflow statistics of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CoflowSummary {
     /// Coflows registered.
     pub coflows: u64,

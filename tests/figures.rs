@@ -53,11 +53,19 @@ fn figures_are_well_formed_and_normalised() {
 fn claims_computable_from_reduced_sweep() {
     let res = tiny_sweep();
     let c = experiments::claims::claims(&res);
+    let m = |id| experiments::claim::find(&c, id).unwrap().measured;
     // ack+syn exists in the grid, so its best-throughput is finite/positive.
-    assert!(c.ack_syn_best_throughput > 0.0);
-    assert!(c.simple_marking_best_throughput > 0.0);
+    assert!(m("ack_syn_best_throughput") > 0.0);
+    assert!(m("simple_marking_best_throughput") > 0.0);
     // No Red[Default] points at <=200us in this grid: the "tight" metric is
-    // the fold identity (+inf), which the renderer must tolerate.
+    // the fold identity (+inf), which the renderer must tolerate and the
+    // check must fail.
+    assert_eq!(m("red_default_tight_throughput"), f64::INFINITY);
+    assert!(
+        !experiments::claim::find(&c, "red_default_tight_throughput")
+            .unwrap()
+            .holds()
+    );
     let rendered = experiments::claims::render_claims(&c);
     assert!(rendered.contains("measured"));
 }
