@@ -3,7 +3,8 @@
 //! the L4S DualQ, each with Default vs ACK+SYN protection, plus the simple
 //! marking scheme, and compare who dropped what.
 //!
-//! Usage: `aqm_families [--tiny] [--seed N]`
+//! Usage: `aqm_families [--tiny] [--seed N] [--cc ALG]
+//! [--topology two-tier|fat-tree:K]`
 
 use ecn_core::ProtectionMode;
 use experiments::cli::cli_args;

@@ -2,7 +2,8 @@
 //! Hadoop cluster" — a queue held at the marking threshold by ECT data while
 //! non-ECT ACKs (and handshake packets) take the early drops.
 //!
-//! Usage: `fig1_queue_snapshot [--tiny] [--seed N]`
+//! Usage: `fig1_queue_snapshot [--tiny] [--seed N] [--cc ALG]
+//! [--topology two-tier|fat-tree:K]`
 
 use experiments::cli::cli_args;
 use experiments::figures::fig1_full;

@@ -3,14 +3,14 @@
 //! shuffle. Compare what the service experiences under DropTail vs the
 //! paper's fixed configurations, on both buffer depths.
 //!
-//! Usage: `mixed_cluster [--tiny]`
+//! Usage: `mixed_cluster [--tiny] [--seed N] [--cc ALG]
+//! [--topology two-tier|fat-tree:K]`
 
 use ecn_core::ProtectionMode;
 use experiments::scenario::{BufferDepth, QueueKind, ScenarioConfig, Transport};
-use mrsim::{JobSpec, TerasortJob};
-use netsim::{jain_fairness, ClusterSpec, LatencyProbes, Network, PairApp, Simulation};
+use mrsim::TerasortJob;
+use netsim::{jain_fairness, LatencyProbes, Network, PairApp, Simulation};
 use simevent::SimDuration;
-use tcpstack::TcpConfig;
 
 struct Row {
     label: String,
@@ -23,35 +23,12 @@ struct Row {
 
 fn run(cfg: &ScenarioConfig, queue: QueueKind, depth: BufferDepth, transport: Transport) -> Row {
     let delay = SimDuration::from_micros(500);
-    let spec = ClusterSpec {
-        racks: cfg.racks,
-        hosts_per_rack: cfg.hosts_per_rack,
-        host_link: cfg.host_link,
-        uplink: cfg.uplink,
-        switch_qdisc: cfg.qdisc(queue, depth, delay),
-        host_buffer_packets: 4 * cfg.deep_packets,
-        seed: cfg.seed,
-    };
-    let n = spec.total_hosts();
-    let tcp = TcpConfig {
-        recv_wnd: 128 << 10,
-        sack: false,
-        ..TcpConfig::with_ecn(transport.ecn_mode())
-    };
-    let job = JobSpec {
-        input_bytes_per_node: cfg.input_bytes_per_node,
-        map_waves: cfg.map_waves,
-        map_rate_bps: 100_000_000,
-        reduce_rate_bps: 200_000_000,
-        tcp: tcp.clone(),
-        parallel_copies: 5,
-        shuffle_jitter: cfg.shuffle_jitter,
-        seed: cfg.seed ^ 0x5EED,
-    };
-    let terasort = TerasortJob::new(job, n);
+    let topo = cfg.topology(cfg.qdisc(queue, depth, delay));
+    let n = topo.total_hosts();
+    let tcp = cfg.tcp(transport);
+    let terasort = TerasortJob::new(cfg.job(tcp.clone()), n);
     let probes = LatencyProbes::new(n, 20_000, SimDuration::from_millis(5), tcp);
-    let net = Network::new(spec);
-    let mut sim = Simulation::new(net, PairApp::new(terasort, probes));
+    let mut sim = Simulation::new(Network::from_topology(topo), PairApp::new(terasort, probes));
     sim.time_limit = cfg.time_limit;
     let report = sim.run();
     assert!(

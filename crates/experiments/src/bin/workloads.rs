@@ -8,9 +8,11 @@
 //! * RED-mimic with ACK+SYN protection (the paper's fix),
 //! * the true simple marking scheme (never early-drops anything).
 //!
-//! All runs use DCTCP. Per point it reports flow-completion-time and
-//! slowdown percentiles (mice vs elephants), coflow completion times,
-//! goodput, and the non-ECT early-drop counters, writing
+//! All runs use DCTCP (`--cc ALG` swaps the controller, keeping DCTCP's
+//! ECN feedback as the hint; see `ScenarioConfig::tcp`). Per point it
+//! reports flow-completion-time and slowdown percentiles (mice vs
+//! elephants), coflow completion times, goodput, and the non-ECT
+//! early-drop counters, writing
 //! `results/workloads_{incast,mixed,rpc}[_tiny].json` plus a claims file.
 //! Output JSON is deterministic: two same-seed runs are byte-identical.
 //!
@@ -22,7 +24,7 @@
 //! Exits nonzero if any claim check fails, so CI catches regressions in the
 //! reproduced pathology rather than just printing FAIL and passing.
 //!
-//! Usage: `workloads [--tiny] [--seed N] [--jobs N] [--no-cache]`
+//! Usage: `workloads [--tiny] [--seed N] [--jobs N] [--no-cache] [--cc ALG]`
 
 use experiments::claim;
 use experiments::cli::cli_args;
@@ -36,7 +38,6 @@ use serde::Serialize;
 use simevent::{SimDuration, SimTime};
 use simmetrics::IdealFct;
 use std::path::Path;
-use tcpstack::TcpConfig;
 use workload::{
     Incast, IncastConfig, Mixed, MixedConfig, Rpc, RpcConfig, SizeDist, TrafficModel, WorkloadApp,
 };
@@ -163,11 +164,7 @@ fn run_queue<M: TrafficModel>(
         queue.qdisc(cfg, SimDuration::from_micros(500)),
         cfg.seed,
     );
-    let tcp = TcpConfig {
-        recv_wnd: 128 << 10,
-        sack: false,
-        ..TcpConfig::with_ecn(Transport::Dctcp.ecn_mode())
-    };
+    let tcp = cfg.tcp(Transport::Dctcp);
     // Idle-path FCT model: two host links each way plus one full-size
     // serialisation, against the host line rate.
     let ideal = IdealFct {

@@ -43,7 +43,6 @@ use netsim::{FatTreeSpec, LinkSpec, Network, Simulation, StaticFlows, Topology};
 use serde::{Deserialize, Serialize};
 use simevent::{SimDuration, SimTime};
 use std::time::Instant;
-use tcpstack::TcpConfig;
 use workload::{fabric_flows, FabricConfig};
 
 /// The seed every gate simulation runs at (the paper's conference date).
@@ -417,11 +416,7 @@ fn bench8_fabric(seed: u64) -> (Topology, Vec<workload::FabricFlow>) {
         hotspot_senders_per_pod: 8,
         hotspot_bytes: 150_000,
         stagger: SimDuration::from_micros(50),
-        tcp: TcpConfig {
-            recv_wnd: 128 << 10,
-            sack: false,
-            ..TcpConfig::with_ecn(Transport::Dctcp.ecn_mode())
-        },
+        tcp: ScenarioConfig::default().tcp(Transport::Dctcp),
     });
     (topo, flows)
 }

@@ -6,7 +6,7 @@ use ecn_core::{
 };
 use mrsim::{JobSpec, TerasortJob};
 use netpacket::PacketKind;
-use netsim::{ClusterSpec, FatTreeSpec, LinkSpec, Network, Simulation, Topology};
+use netsim::{ClusterSpec, FatTreeSpec, LinkSpec, Network, RunReport, Simulation, Topology};
 use serde::{Deserialize, Serialize};
 use simevent::{SimDuration, SimTime};
 use tcpstack::{CcAlg, EcnMode, TcpConfig};
@@ -315,6 +315,66 @@ impl ScenarioConfig {
             }
         }
     }
+
+    /// The fabric of a point, with `switch_qdisc` on every switch egress
+    /// port and four deep switch buffers' worth of packets at every host NIC.
+    pub fn topology(&self, switch_qdisc: QdiscSpec) -> Topology {
+        let host_buffer_packets = 4 * self.deep_packets;
+        match self.topology {
+            TopologyKind::TwoTier => Topology::TwoTier(ClusterSpec {
+                racks: self.racks,
+                hosts_per_rack: self.hosts_per_rack,
+                host_link: self.host_link,
+                uplink: self.uplink,
+                switch_qdisc,
+                host_buffer_packets,
+                seed: self.seed,
+            }),
+            TopologyKind::FatTree { k } => Topology::FatTree(FatTreeSpec {
+                k,
+                host_link: self.host_link,
+                uplink: self.uplink,
+                switch_qdisc,
+                host_buffer_packets,
+                seed: self.seed,
+            }),
+        }
+    }
+
+    /// The TCP every flow of a point runs. 128 kB receive windows
+    /// (Hadoop-era Linux autotuning scale) bound the slow-start overshoot of
+    /// each shuffle flow, and SACK is off because the paper's substrate
+    /// (NS-2 FullTcp under MRPerf) predates it; the modern-stack ablation
+    /// (`cargo run --release --example ablations`) flips `sack: true`.
+    pub fn tcp(&self, transport: Transport) -> TcpConfig {
+        let base = match self.cc {
+            // Controller override: run `alg` under the ECN mode it requires,
+            // using the transport's mode as the hint (so `--cc cubic` with
+            // the TcpEcn transport gets classic ECN, and with Tcp gets no
+            // ECN).
+            Some(alg) => TcpConfig::with_cc(alg, transport.ecn_mode()),
+            None => TcpConfig::with_ecn(transport.ecn_mode()),
+        };
+        TcpConfig {
+            recv_wnd: 128 << 10,
+            sack: false,
+            ..base
+        }
+    }
+
+    /// The Terasort job of a point, every shuffle flow on `tcp`.
+    pub fn job(&self, tcp: TcpConfig) -> JobSpec {
+        JobSpec {
+            input_bytes_per_node: self.input_bytes_per_node,
+            map_waves: self.map_waves,
+            map_rate_bps: 100_000_000,
+            reduce_rate_bps: 200_000_000,
+            tcp,
+            parallel_copies: 5,
+            shuffle_jitter: self.shuffle_jitter,
+            seed: self.seed ^ 0x5EED,
+        }
+    }
 }
 
 /// Which simulation engine evaluates a point. There is one; the type stays
@@ -358,6 +418,42 @@ pub struct RunMetrics {
     pub cc_fallbacks: u64,
     /// Whether the job actually finished inside the time limit.
     pub completed: bool,
+}
+
+impl RunMetrics {
+    /// Read the metrics of a finished Terasort run off its network, its job
+    /// and the engine's report.
+    pub fn measure(net: &Network, job: &TerasortJob, report: &RunReport) -> RunMetrics {
+        let res = job.result();
+        // The paper's "average throughput per node": shuffle goodput over the
+        // shuffle's own span (first flow start to last byte acknowledged), so
+        // compute-phase gaps do not dilute the metric.
+        let span = res.shuffle_done.since(res.first_flow_at);
+        let n = net.topology().total_hosts();
+        let throughput = if span > SimDuration::ZERO {
+            res.shuffle_bytes as f64 * 8.0 / span.as_secs_f64() / n as f64
+        } else {
+            0.0
+        };
+        let port = net.port_stats().total;
+        let tx = net.sender_stats_total();
+        RunMetrics {
+            runtime_s: res.runtime.as_secs_f64(),
+            throughput_per_node_bps: throughput,
+            mean_latency_s: net.latency().mean().as_secs_f64(),
+            p99_latency_s: net.latency().quantile(0.99).as_secs_f64(),
+            acks_early_dropped: port.dropped_early.get(PacketKind::PureAck),
+            handshake_early_dropped: port.dropped_early.get(PacketKind::Syn)
+                + port.dropped_early.get(PacketKind::SynAck),
+            data_marked: port.marked.get(PacketKind::Data),
+            full_drops: port.dropped_full.total(),
+            timeouts: tx.timeouts,
+            fast_retransmits: tx.fast_retransmits,
+            syn_retransmits: tx.syn_retransmits,
+            cc_fallbacks: tx.cc_fallbacks,
+            completed: report.app_done,
+        }
+    }
 }
 
 /// Run one experiment point: `seed_count` independent repetitions, averaged.
@@ -426,7 +522,7 @@ pub fn run_scenario_once(
 }
 
 /// One repetition returning, in addition to the metrics, the simulation's
-/// [`netsim::RunReport`] (event counts, peak pending events) and the
+/// [`RunReport`] (event counts, peak pending events) and the
 /// packet-pool allocation counters — the perf gate's accounting. With an
 /// enabled `trace` handle (`--trace`) every switch port, host NIC and sender
 /// records its packet-lifecycle events into it.
@@ -438,100 +534,23 @@ pub fn run_scenario_once_full(
     target_delay: SimDuration,
     engine: Engine,
     trace: simtrace::TraceHandle,
-) -> (RunMetrics, netsim::RunReport, netpacket::PoolStats) {
-    let switch_qdisc = cfg.qdisc(queue, depth, target_delay);
-    let topo: Topology = match cfg.topology {
-        TopologyKind::TwoTier => Topology::TwoTier(ClusterSpec {
-            racks: cfg.racks,
-            hosts_per_rack: cfg.hosts_per_rack,
-            host_link: cfg.host_link,
-            uplink: cfg.uplink,
-            switch_qdisc,
-            host_buffer_packets: 4 * cfg.deep_packets,
-            seed: cfg.seed,
-        }),
-        TopologyKind::FatTree { k } => Topology::FatTree(FatTreeSpec {
-            k,
-            host_link: cfg.host_link,
-            uplink: cfg.uplink,
-            switch_qdisc,
-            host_buffer_packets: 4 * cfg.deep_packets,
-            seed: cfg.seed,
-        }),
-    };
+) -> (RunMetrics, RunReport, netpacket::PoolStats) {
+    let topo = cfg.topology(cfg.qdisc(queue, depth, target_delay));
     let n = topo.total_hosts();
-    // 128 kB receive windows (Hadoop-era Linux autotuning scale) bound the
-    // slow-start overshoot of each shuffle flow, and SACK is off because the
-    // paper's substrate (NS-2 FullTcp under MRPerf) predates it; flip
-    // `sack: true` for the modern-stack ablation
-    // (`cargo run --release --example ablations`).
-    let base = match cfg.cc {
-        // Controller override: run `alg` under the ECN mode it requires,
-        // using the transport's mode as the hint (so `--cc cubic` with the
-        // TcpEcn transport gets classic ECN, and with Tcp gets no ECN).
-        Some(alg) => TcpConfig::with_cc(alg, transport.ecn_mode()),
-        None => TcpConfig::with_ecn(transport.ecn_mode()),
-    };
-    let tcp = TcpConfig {
-        recv_wnd: 128 << 10,
-        sack: false,
-        ..base
-    };
-    let job = JobSpec {
-        input_bytes_per_node: cfg.input_bytes_per_node,
-        map_waves: cfg.map_waves,
-        map_rate_bps: 100_000_000,
-        reduce_rate_bps: 200_000_000,
-        tcp,
-        parallel_copies: 5,
-        shuffle_jitter: cfg.shuffle_jitter,
-        seed: cfg.seed ^ 0x5EED,
-    };
+    let job = cfg.job(cfg.tcp(transport));
     let mut net = Network::from_topology(topo);
     if trace.is_enabled() {
         net.set_trace(trace);
     }
-    let app = TerasortJob::new(job, n);
-    let mut sim = Simulation::new(net, app);
+    let mut sim = Simulation::new(net, TerasortJob::new(job, n));
     sim.time_limit = cfg.time_limit;
     if let Some(tie_seed) = cfg.tie_seed {
         sim.tie_break = simevent::TieBreak::Permuted(tie_seed);
     }
     let Engine::Fast = engine;
     let report = sim.run_sharded(cfg.shards.unwrap_or(1) as usize);
-
-    let pool = sim.net.pool_stats();
-    let res = sim.app.result();
-    let runtime_s = res.runtime.as_secs_f64();
-    // The paper's "average throughput per node": shuffle goodput over the
-    // shuffle's own span (first flow start to last byte acknowledged), so
-    // compute-phase gaps do not dilute the metric.
-    let span = res.shuffle_done.since(res.first_flow_at);
-    let throughput = if span > simevent::SimDuration::ZERO {
-        res.shuffle_bytes as f64 * 8.0 / span.as_secs_f64() / n as f64
-    } else {
-        0.0
-    };
-    let port = sim.net.port_stats().total;
-    let tx = sim.net.sender_stats_total();
-
-    let metrics = RunMetrics {
-        runtime_s,
-        throughput_per_node_bps: throughput,
-        mean_latency_s: sim.net.latency().mean().as_secs_f64(),
-        p99_latency_s: sim.net.latency().quantile(0.99).as_secs_f64(),
-        acks_early_dropped: port.dropped_early.get(PacketKind::PureAck),
-        handshake_early_dropped: port.dropped_early.get(PacketKind::Syn)
-            + port.dropped_early.get(PacketKind::SynAck),
-        data_marked: port.marked.get(PacketKind::Data),
-        full_drops: port.dropped_full.total(),
-        timeouts: tx.timeouts,
-        fast_retransmits: tx.fast_retransmits,
-        syn_retransmits: tx.syn_retransmits,
-        cc_fallbacks: tx.cc_fallbacks,
-        completed: report.app_done,
-    };
-    (metrics, report, pool)
+    let metrics = RunMetrics::measure(&sim.net, &sim.app, &report);
+    (metrics, report, sim.net.pool_stats())
 }
 
 #[cfg(test)]

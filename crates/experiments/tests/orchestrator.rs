@@ -218,6 +218,30 @@ fn fig2_bin_trace_executes_despite_warm_cache() {
     );
 }
 
+/// The `workloads` tables: its stdout up to the claim lines.
+fn workload_tables(dir: &Path, args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_workloads"))
+        .args(["--tiny", "--seed", "7", "--no-cache"])
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("workloads runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let tables: Vec<&str> = stdout.lines().take_while(|l| !l.starts_with('[')).collect();
+    assert!(tables.contains(&"== closed-loop RPC =="), "{out:?}");
+    tables.join("\n")
+}
+
+/// `--cc` is part of every point's cache key, so it must also reach the
+/// flows: a run with another controller prints other tables.
+#[test]
+fn workloads_bin_runs_the_cc_flag() {
+    let scratch = Scratch::new("workloads-cc");
+    let native = workload_tables(scratch.path(), &[]);
+    let cubic = workload_tables(scratch.path(), &["--cc", "cubic"]);
+    assert_ne!(native, cubic, "--cc cubic printed the DCTCP tables");
+}
+
 fn canned_report() -> BenchReport {
     BenchReport {
         description: "test report".into(),

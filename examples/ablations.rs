@@ -13,48 +13,32 @@
 //!
 //! Run with: `cargo run --release --example ablations`
 
-use hadoop_ecn::experiments::scenario::ScenarioConfig;
+use hadoop_ecn::experiments::scenario::{RunMetrics, ScenarioConfig, Transport};
 use hadoop_ecn::prelude::*;
+
+/// The nano scenario every case runs: the tiny cluster, 1 MB per node.
+fn nano() -> ScenarioConfig {
+    ScenarioConfig {
+        input_bytes_per_node: 1_000_000,
+        ..ScenarioConfig::tiny()
+    }
+}
 
 /// Run a nano Terasort over an explicit qdisc spec and TCP config; return
 /// (runtime_s, ack_early_drops).
 fn run_custom(qdisc: QdiscSpec, tcp: TcpConfig) -> (f64, u64) {
-    let mut cfg = ScenarioConfig::tiny();
-    cfg.input_bytes_per_node = 1_000_000;
-    let spec = ClusterSpec {
-        racks: cfg.racks,
-        hosts_per_rack: cfg.hosts_per_rack,
-        host_link: cfg.host_link,
-        uplink: cfg.uplink,
-        switch_qdisc: qdisc,
-        host_buffer_packets: 4 * cfg.deep_packets,
-        seed: cfg.seed,
-    };
-    let n = spec.total_hosts();
-    let job = JobSpec {
-        input_bytes_per_node: cfg.input_bytes_per_node,
-        map_waves: cfg.map_waves,
-        map_rate_bps: 100_000_000,
-        reduce_rate_bps: 200_000_000,
-        tcp,
-        parallel_copies: 5,
-        shuffle_jitter: cfg.shuffle_jitter,
-        seed: cfg.seed ^ 0x5EED,
-    };
-    let net = Network::new(spec);
-    let app = TerasortJob::new(job, n);
-    let mut sim = Simulation::new(net, app);
+    let cfg = nano();
+    let topo = cfg.topology(qdisc);
+    let n = topo.total_hosts();
+    let mut sim = Simulation::new(
+        Network::from_topology(topo),
+        TerasortJob::new(cfg.job(tcp), n),
+    );
     sim.time_limit = cfg.time_limit;
     let report = sim.run();
     assert!(report.app_done);
-    let runtime = sim.app.result().runtime.as_secs_f64();
-    let acks = sim
-        .net
-        .port_stats()
-        .total
-        .dropped_early
-        .get(PacketKind::PureAck);
-    (runtime, acks)
+    let m = RunMetrics::measure(&sim.net, &sim.app, &report);
+    (m.runtime_s, m.acks_early_dropped)
 }
 
 fn red_spec(mutator: impl Fn(&mut RedConfig)) -> QdiscSpec {
@@ -70,11 +54,7 @@ fn red_spec(mutator: impl Fn(&mut RedConfig)) -> QdiscSpec {
 }
 
 fn ecn_tcp() -> TcpConfig {
-    TcpConfig {
-        recv_wnd: 128 << 10,
-        sack: false,
-        ..TcpConfig::with_ecn(EcnMode::Ecn)
-    }
+    nano().tcp(Transport::TcpEcn)
 }
 
 fn report(name: &str, qdisc: QdiscSpec, tcp: TcpConfig) {

@@ -12,9 +12,8 @@ use ecn_core::ProtectionMode;
 use experiments::scenario::{
     run_scenario_once, BufferDepth, QueueKind, RunMetrics, ScenarioConfig, TopologyKind, Transport,
 };
-use mrsim::{JobSpec, TerasortJob};
-use netpacket::PacketKind;
-use netsim::{ClusterSpec, Network, Simulation, Topology};
+use mrsim::TerasortJob;
+use netsim::{Network, Simulation};
 use simevent::SimDuration;
 use tcpstack::{CcAlg, TcpConfig};
 
@@ -173,66 +172,31 @@ fn every_discipline_output_is_pinned() {
 
 /// The tiny TCP (no ECN) / RED[default] / shallow / 500 µs point at seed 7,
 /// with SACK on or off. `run_scenario_once` always runs SACK off, so this
-/// builds the same simulation through the public `netsim`/`mrsim` API. RED
-/// early-drops non-ECT data here, so receivers hold out-of-order islands
-/// and their ACKs carry SACK blocks.
+/// builds the same simulation from the scenario's recipe with `sack`
+/// overridden. RED early-drops non-ECT data here, so receivers hold
+/// out-of-order islands and their ACKs carry SACK blocks.
 fn sack_point(sack: bool) -> RunMetrics {
     let cfg = ScenarioConfig {
         seed: 7,
         ..ScenarioConfig::tiny()
     };
-    let transport = Transport::Tcp;
-    let topo = Topology::TwoTier(ClusterSpec {
-        racks: cfg.racks,
-        hosts_per_rack: cfg.hosts_per_rack,
-        host_link: cfg.host_link,
-        uplink: cfg.uplink,
-        switch_qdisc: cfg.qdisc(
-            QueueKind::Red(ProtectionMode::Default),
-            BufferDepth::Shallow,
-            SimDuration::from_micros(500),
-        ),
-        host_buffer_packets: 4 * cfg.deep_packets,
-        seed: cfg.seed,
-    });
+    let topo = cfg.topology(cfg.qdisc(
+        QueueKind::Red(ProtectionMode::Default),
+        BufferDepth::Shallow,
+        SimDuration::from_micros(500),
+    ));
     let n = topo.total_hosts();
-    let job = JobSpec {
-        input_bytes_per_node: cfg.input_bytes_per_node,
-        map_waves: cfg.map_waves,
-        map_rate_bps: 100_000_000,
-        reduce_rate_bps: 200_000_000,
-        tcp: TcpConfig {
-            recv_wnd: 128 << 10,
-            sack,
-            ..TcpConfig::with_ecn(transport.ecn_mode())
-        },
-        parallel_copies: 5,
-        shuffle_jitter: cfg.shuffle_jitter,
-        seed: cfg.seed ^ 0x5EED,
+    let tcp = TcpConfig {
+        sack,
+        ..cfg.tcp(Transport::Tcp)
     };
-    let mut sim = Simulation::new(Network::from_topology(topo), TerasortJob::new(job, n));
+    let mut sim = Simulation::new(
+        Network::from_topology(topo),
+        TerasortJob::new(cfg.job(tcp), n),
+    );
     sim.time_limit = cfg.time_limit;
     let report = sim.run();
-    let res = sim.app.result();
-    let span = res.shuffle_done.since(res.first_flow_at);
-    let port = sim.net.port_stats().total;
-    let tx = sim.net.sender_stats_total();
-    RunMetrics {
-        runtime_s: res.runtime.as_secs_f64(),
-        throughput_per_node_bps: res.shuffle_bytes as f64 * 8.0 / span.as_secs_f64() / n as f64,
-        mean_latency_s: sim.net.latency().mean().as_secs_f64(),
-        p99_latency_s: sim.net.latency().quantile(0.99).as_secs_f64(),
-        acks_early_dropped: port.dropped_early.get(PacketKind::PureAck),
-        handshake_early_dropped: port.dropped_early.get(PacketKind::Syn)
-            + port.dropped_early.get(PacketKind::SynAck),
-        data_marked: port.marked.get(PacketKind::Data),
-        full_drops: port.dropped_full.total(),
-        timeouts: tx.timeouts,
-        fast_retransmits: tx.fast_retransmits,
-        syn_retransmits: tx.syn_retransmits,
-        cc_fallbacks: tx.cc_fallbacks,
-        completed: report.app_done,
-    }
+    RunMetrics::measure(&sim.net, &sim.app, &report)
 }
 
 /// Pins the SACK path: the blocks a receiver writes into its ACKs and the
