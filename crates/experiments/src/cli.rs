@@ -1,6 +1,6 @@
 //! Shared plumbing for the experiment binaries.
 
-use crate::report::write_sweep_json;
+use crate::report::write_json;
 use crate::scenario::{
     run_scenario_once_full, BufferDepth, Engine, QueueKind, ScenarioConfig, TopologyKind, Transport,
 };
@@ -294,7 +294,7 @@ pub fn sweep_from_args() -> SweepResults {
         "sweep.json"
     };
     let path = Path::new("results").join(name);
-    if let Err(e) = write_sweep_json(&res, &path) {
+    if let Err(e) = write_json(&res, &path) {
         eprintln!(
             "[experiments] warning: could not write {}: {e}",
             path.display()

@@ -11,6 +11,10 @@
 //! paper's Figures 2, 3 and 4 from one sweep, plus Fig. 1's queue snapshot
 //! and Tables I–II.
 //!
+//! The gated grids — the Fig. 2–4 sweep, the controller matrix
+//! ([`cc_matrix`]), the tiny-buffer sweep ([`tiny_buffer`]) and the workload
+//! suite ([`workloads`]) — all run through [`simsweep::run_points`], one
+//! cached point per repetition ([`sweep::run_keys`]); `run_all` gates all four.
 //! The [`simsweep`] module is the orchestration layer underneath: a bounded
 //! worker pool (`--jobs N`) with a content-addressed result cache under
 //! `results/.cache/` (`--no-cache` to bypass), merging results in point

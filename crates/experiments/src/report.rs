@@ -1,7 +1,8 @@
-//! Plain-text rendering and JSON persistence of figure data.
+//! Plain-text rendering and JSON persistence of figure data and gated grids.
 
 use crate::figures::FigurePanel;
-use crate::sweep::SweepResults;
+use crate::simsweep::SweepStats;
+use serde::Value;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -41,11 +42,6 @@ pub fn render_panel(panel: &FigurePanel) -> String {
     out
 }
 
-/// Persist raw sweep results as JSON.
-pub fn write_sweep_json(res: &SweepResults, path: &Path) -> std::io::Result<()> {
-    write_json(res, path)
-}
-
 /// Persist any serialisable report as JSON. Serialisation failures surface
 /// as `InvalidData` I/O errors rather than panics, so callers can report the
 /// offending path.
@@ -56,6 +52,20 @@ pub fn write_json<T: serde::Serialize>(value: &T, path: &Path) -> std::io::Resul
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     std::fs::write(path, json)
+}
+
+/// Publish a gated grid's run: log what it executed, print its tables and
+/// write its JSON files, by name, under `results/`.
+pub(crate) fn publish(name: &str, stats: SweepStats, tables: &str, files: &[(String, Value)]) {
+    let (executed, cached) = (stats.executed, stats.cached);
+    eprintln!("[{name}] {executed} points executed, {cached} served from cache");
+    println!("{tables}");
+    for (file, value) in files {
+        let path = Path::new("results").join(file);
+        if let Err(e) = write_json(value, &path) {
+            eprintln!("[{name}] could not write {}: {e}", path.display());
+        }
+    }
 }
 
 #[cfg(test)]

@@ -34,9 +34,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bumped whenever the cache entry layout changes, or the simulation's
 /// output for an unchanged key does (version 2: `shards: None` left the
-/// serial loop for the windowed engine); part of every cache key, so stale
-/// entries simply miss.
-pub const CACHE_SCHEMA_VERSION: u32 = 2;
+/// serial loop for the windowed engine; version 3: a key is one repetition,
+/// not a point's average); part of every cache key, so stale entries simply
+/// miss.
+pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
 /// Where (and whether) point results are cached.
 #[derive(Debug, Clone, PartialEq, Eq)]
